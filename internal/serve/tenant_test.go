@@ -232,19 +232,21 @@ func TestTenantFairness(t *testing.T) {
 		t.Fatalf("batch at %d/30 points — interactive job waited out the whole sweep", batchNow.DonePoints)
 	}
 
-	// Both tenants took grants; the batch tenant took many (one per chunk).
-	snap := reg.Snapshot()
-	if got := snap.Counter("pn_serve_tenant_grants_total", "live-tenant"); got != 1 {
+	// The interactive tenant took exactly one grant.
+	if got := reg.Snapshot().Counter("pn_serve_tenant_grants_total", "live-tenant"); got != 1 {
 		t.Fatalf("grants{live-tenant} = %d, want 1", got)
-	}
-	if got := snap.Counter("pn_serve_tenant_grants_total", "batch-tenant"); got < 2 {
-		t.Fatalf("grants{batch-tenant} = %d, want >= 2 (chunked execution)", got)
 	}
 
 	// And the preempted sweep still finishes intact.
 	batchDone := waitState(t, ts.URL, batch.ID, terminal)
 	if batchDone.State != StateDone || batchDone.DonePoints != 30 {
 		t.Fatalf("batch sweep after preemption: %+v", batchDone)
+	}
+	// The batch tenant took many grants (one per chunk). Counted only once the
+	// sweep is done: right after the interactive job ends, the sweep's next
+	// grant may not have happened yet.
+	if got := reg.Snapshot().Counter("pn_serve_tenant_grants_total", "batch-tenant"); got < 2 {
+		t.Fatalf("grants{batch-tenant} = %d, want >= 2 (chunked execution)", got)
 	}
 }
 
