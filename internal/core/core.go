@@ -131,7 +131,8 @@ type Options struct {
 	// Span, when non-nil, parents the "core.Characterise" span (with nested
 	// shooting/floquet/quadrature child spans) under an existing trace. When
 	// nil, Characterise starts a root span on the process-wide emitter — or
-	// none at all if tracing is off.
+	// none at all if tracing is off. A lockstep batch emits one span set,
+	// parented by the first point's Span.
 	Span *obs.Span
 	// ReusePSS, when non-nil, skips the shooting stage entirely and runs the
 	// downstream analysis on this already-converged periodic steady state.
@@ -155,24 +156,18 @@ type Partial struct {
 // Characterise runs the full Section-9 pipeline: periodic steady state by
 // shooting, Floquet decomposition with the stable backward-adjoint
 // computation of v1(t), and the quadratures for c, per-source contributions
-// and per-node sensitivities.
+// and per-node sensitivities. Characterise is CharacteriseBatch over one
+// lane.
 func Characterise(sys dynsys.System, x0 []float64, tGuess float64, opts *Options) (*Result, error) {
-	var parent *obs.Span
-	if opts != nil {
-		parent = opts.Span
-	}
-	sp := obs.StartSpan(parent, "core.Characterise")
-	res, err := characterise(sys, x0, tGuess, opts, sp)
-	m := coreMetrics.Get()
+	be, err := dynsys.NewLaneBatch([]dynsys.System{sys})
 	if err != nil {
-		m.failed.Inc()
-	} else {
-		m.ok.Inc()
-		sp.SetAttr("c", res.C)
-		sp.SetAttr("period", res.T())
+		return nil, err
 	}
-	sp.EndErr(err)
-	return res, err
+	results, laneErrs, err := CharacteriseBatch(be, []BatchPoint{{Sys: sys, X0: x0, TGuess: tGuess, Opts: opts}}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return results[0], laneErrs[0]
 }
 
 // stagePlan is one point's fully resolved pipeline configuration: stage
@@ -218,65 +213,6 @@ func resolveStages(opts *Options) stagePlan {
 		p.fo = &fc
 	}
 	return p
-}
-
-func characterise(sys dynsys.System, x0 []float64, tGuess float64, opts *Options, sp *obs.Span) (*Result, error) {
-	p := resolveStages(opts)
-	so, fo, qp, tr := p.so, p.fo, p.qp, p.tr
-	bud, part := p.bud, p.part
-	if tr != nil {
-		*tr = Trace{}
-		start := time.Now()
-		defer func() { tr.Wall = time.Since(start) }()
-	}
-	var pss *shooting.PSS
-	var err error
-	if opts != nil && opts.ReusePSS != nil {
-		pss = opts.ReusePSS
-		sp.SetAttr("pss_reused", true)
-	} else {
-		ssp := obs.StartSpan(sp, "shooting.Find")
-		pss, err = shooting.Find(sys, x0, tGuess, so)
-		ssp.EndErr(err)
-		if err != nil {
-			if budget.Is(err) {
-				budget.RecordTrip("shooting")
-			}
-			return nil, fmt.Errorf("core: periodic steady state: %w", err)
-		}
-	}
-	if part != nil {
-		part.PSS = pss
-	}
-	fsp := obs.StartSpan(sp, "floquet.Analyze")
-	dec, err := floquet.Analyze(sys, pss, fo)
-	fsp.EndErr(err)
-	if err != nil {
-		if budget.Is(err) {
-			budget.RecordTrip("floquet")
-		}
-		return nil, fmt.Errorf("core: floquet analysis: %w", err)
-	}
-	if part != nil {
-		part.Floquet = dec
-	}
-	if err := bud.Err(); err != nil {
-		budget.RecordTrip("quadrature")
-		return nil, fmt.Errorf("core: before c quadrature: %w", err)
-	}
-	if qp <= 0 {
-		qp = max(len(dec.V1.Points), 1000) // FromDecomposition's default grid
-	}
-	qsp := obs.StartSpan(sp, "quadrature")
-	qStart := time.Now()
-	res, err := FromDecomposition(sys, pss, dec, qp)
-	qsp.SetAttr("points", qp)
-	qsp.EndErr(err)
-	if tr != nil {
-		tr.QuadWall = time.Since(qStart)
-		tr.QuadPoints = qp
-	}
-	return res, err
 }
 
 // CharacteriseAuto is Characterise without a period guess: it integrates

@@ -151,38 +151,18 @@ func (d *Decomposition) StabilityMargin() float64 {
 //  4. v1(t) follows from integrating ẏ = −Aᵀ(t)y BACKWARD from
 //     y(T) = v1(0); forward integration would be unstable because the
 //     contracting Floquet modes of the cycle are expanding for the adjoint.
+//
+// Analyze is AnalyzeBatch over one lane.
 func Analyze(sys dynsys.System, pss *shooting.PSS, opts *Options) (*Decomposition, error) {
-	o := opts.defaults(len(pss.Orbit.Points))
-	tr := o.Trace
-	if tr != nil {
-		// Reset to zero — NOT to the configured step count. Steps is filled
-		// with the number of adjoint steps actually completed once the
-		// integration runs, so a trace from an early exit (budget trip before
-		// or during the adjoint stage) reports real work done, not intent.
-		*tr = Trace{}
-		start := time.Now()
-		defer func() { tr.Wall = time.Since(start) }()
-	}
-	fm := floquetMetrics.Get()
-	fm.analyses.Inc()
-	prep, err := preAdjoint(sys, pss, o, tr)
+	be, err := dynsys.NewLaneBatch([]dynsys.System{sys})
 	if err != nil {
 		return nil, err
 	}
-
-	// Backward adjoint integration over [0, T] with y(T) = v1(0).
-	jac := func(t float64, x []float64, dst []float64) { sys.Jacobian(x, dst) }
-	adjStart := time.Now()
-	v1traj, adjDone, err := ode.AdjointBackward(jac, pss.Orbit, 0, pss.T, prep.v10, o.Steps, o.Budget)
-	if tr != nil {
-		tr.AdjointWall = time.Since(adjStart)
-		tr.Steps = adjDone
-	}
+	decs, laneErrs, err := AnalyzeBatch(be, []BatchItem{{Sys: sys, PSS: pss, Opts: opts}}, nil)
 	if err != nil {
-		return nil, fmt.Errorf("floquet: adjoint integration: %w", err)
+		return nil, err
 	}
-
-	return postAdjoint(sys, pss, o, tr, prep, v1traj)
+	return decs[0], laneErrs[0]
 }
 
 // adjPrep carries the pre-adjoint stage results: multipliers ordered per the
@@ -195,10 +175,9 @@ type adjPrep struct {
 	bdist float64
 }
 
-// preAdjoint runs the scalar stages of Analyze that precede the adjoint
-// integration: the monodromy eigenanalysis, unit-multiplier search, stability
-// check and the v1(0) eigenvector. Shared verbatim by Analyze and
-// AnalyzeBatch so the two paths cannot drift apart.
+// preAdjoint runs the per-lane stages that precede the adjoint integration:
+// the monodromy eigenanalysis, unit-multiplier search, stability check and
+// the v1(0) eigenvector.
 func preAdjoint(sys dynsys.System, pss *shooting.PSS, o Options, tr *Trace) (*adjPrep, error) {
 	n := sys.Dim()
 	phi := pss.Monodromy
@@ -263,9 +242,9 @@ func preAdjoint(sys dynsys.System, pss *shooting.PSS, o Options, tr *Trace) (*ad
 	return &adjPrep{mult: mult, exps: exps, u10: u10, v10: v10, bdist: bdist}, nil
 }
 
-// postAdjoint runs the scalar stages downstream of the adjoint integration:
-// closure diagnostic, biorthogonality drift, pointwise renormalisation and
-// assembly of the Decomposition. Shared by Analyze and AnalyzeBatch.
+// postAdjoint runs the per-lane stages downstream of the adjoint
+// integration: closure diagnostic, biorthogonality drift, pointwise
+// renormalisation and assembly of the Decomposition.
 func postAdjoint(sys dynsys.System, pss *shooting.PSS, o Options, tr *Trace, prep *adjPrep, v1traj *ode.Trajectory) (*Decomposition, error) {
 	fm := floquetMetrics.Get()
 	n := sys.Dim()
