@@ -1,4 +1,5 @@
-# Tier-1 verification: build, full test suite, vet, and a race-detector pass
+# Tier-1 verification: build, full test suite, vet (plus a gofmt check that
+# fails on any file `gofmt -l` lists), and a race-detector pass
 # over every package (the sweep engine, Monte-Carlo ensembles, and the budget
 # token thread concurrency through the whole stack). Run `make verify` before
 # every PR. CI (.github/workflows/ci.yml) runs the same steps.
@@ -17,6 +18,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race -timeout 10m ./...

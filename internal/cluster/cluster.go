@@ -597,11 +597,11 @@ func (c *Coordinator) drainAttempt(ctx context.Context, w, workerJob string) {
 		case <-dctx.Done():
 		}
 	}()
-	if st, err := c.clients[w].Cancel(dctx, workerJob); err != nil || terminalState(st.State) {
+	if st, err := c.clients[w].Cancel(dctx, workerJob); err != nil || serve.TerminalState(st.State) {
 		return
 	}
 	for dctx.Err() == nil {
-		if st, err := c.clients[w].Job(dctx, workerJob, false); err != nil || terminalState(st.State) {
+		if st, err := c.clients[w].Job(dctx, workerJob, false); err != nil || serve.TerminalState(st.State) {
 			return
 		}
 		select {
@@ -609,10 +609,6 @@ func (c *Coordinator) drainAttempt(ctx context.Context, w, workerJob string) {
 		case <-time.After(c.cfg.HeartbeatEvery / 4):
 		}
 	}
-}
-
-func terminalState(s string) bool {
-	return s == serve.StateDone || s == serve.StateFailed || s == serve.StateCanceled
 }
 
 // superviseLease heartbeats the worker job and merges its event stream,

@@ -449,11 +449,6 @@ func (c *Client) ClusterStatus(ctx context.Context) (serve.ClusterStatus, error)
 	return cs, err
 }
 
-// terminalState reports whether s is a terminal job state.
-func terminalState(s string) bool {
-	return s == serve.StateDone || s == serve.StateFailed || s == serve.StateCanceled
-}
-
 // Watch streams the job's events to fn, starting after sequence number
 // `after` (0 = from the beginning), until the job goes terminal, ctx is
 // cancelled, or the retry budget is exhausted reconnecting. A dropped
@@ -531,7 +526,7 @@ func (c *Client) streamOnce(ctx context.Context, id string, after int64, fn func
 		}
 		after = ev.Seq
 		fn(ev)
-		if ev.Type == "state" && terminalState(ev.State) {
+		if ev.Type == "state" && serve.TerminalState(ev.State) {
 			terminal = true
 		}
 	}

@@ -22,6 +22,11 @@ const (
 	StateCanceled = "canceled"
 )
 
+// TerminalState reports whether state is one of the three terminal states.
+func TerminalState(state string) bool {
+	return state == StateDone || state == StateFailed || state == StateCanceled
+}
+
 // PointSpec is one characterisation target as pure data: a registered model
 // name plus parameter overrides (defaults fill the rest). Strictness is
 // inherited from osc.Build — unknown models and unknown parameter names are

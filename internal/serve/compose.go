@@ -281,7 +281,7 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 	if workers > s.cfg.MaxSweepWorkers {
 		workers = s.cfg.MaxSweepWorkers
 	}
-	s.submit(w, r, "compose", specs, req.TimeoutMS, workers, req.NoCache, 0, &req)
+	s.submit(w, r, jrecord{Kind: "compose", Specs: specs, TimeoutMS: req.TimeoutMS, Workers: workers, NoCache: req.NoCache, Compose: &req})
 }
 
 // composeJob runs the composition step of a compose job: the legs have

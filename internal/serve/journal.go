@@ -96,13 +96,14 @@ func openJournal(dir string) (*journal, int64, error) {
 	return &journal{dir: dir}, maxSeq, nil
 }
 
-// path maps a job ID and extension to its file, rejecting path-hostile IDs
-// (only the server mints IDs, but replayed headers are data).
-func (jl *journal) path(id, ext string) (string, bool) {
+// jobFile maps a job ID to its per-job file <dir>/<id><ext> — journal, spill
+// or trace — and answers "" for a path-hostile ID (only the server mints
+// IDs, but replayed headers are data).
+func jobFile(dir, id, ext string) string {
 	if id == "" || len(id) > 64 || strings.ContainsAny(id, "/\\.") {
-		return "", false
+		return ""
 	}
-	return filepath.Join(jl.dir, id+ext), true
+	return filepath.Join(dir, id+ext)
 }
 
 // jobJournal is the append handle of one job's journal file. Methods are
@@ -127,8 +128,8 @@ func (jl *journal) create(hdr jrecord) *jobJournal {
 		return nil
 	}
 	m := serveMetrics.Get()
-	p, ok := jl.path(hdr.ID, walExt)
-	if !ok {
+	p := jobFile(jl.dir, hdr.ID, walExt)
+	if p == "" {
 		m.journalErrors.Inc()
 		return nil
 	}
@@ -156,8 +157,8 @@ func (jl *journal) reopen(id string) *jobJournal {
 	if jl == nil {
 		return nil
 	}
-	p, ok := jl.path(id, walExt)
-	if !ok {
+	p := jobFile(jl.dir, id, walExt)
+	if p == "" {
 		return nil
 	}
 	f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -230,9 +231,8 @@ func (jj *jobJournal) rotateLocked() {
 	_ = jj.f.Sync()
 	_ = jj.f.Close()
 	jj.f = nil
-	src, ok1 := jj.jl.path(jj.id, walExt)
-	dst, ok2 := jj.jl.path(jj.id, doneExt)
-	if !ok1 || !ok2 {
+	src, dst := jobFile(jj.jl.dir, jj.id, walExt), jobFile(jj.jl.dir, jj.id, doneExt)
+	if src == "" {
 		m.journalErrors.Inc()
 		return
 	}
@@ -246,9 +246,10 @@ func (jj *jobJournal) rotateLocked() {
 	}
 }
 
-// discard closes the handle and deletes the files — for a job journaled but
-// never enqueued (queue-full rejection lands after the header write).
-func (jj *jobJournal) discard() {
+// close finalizes the handle without rotating it: the file stays where it is
+// (a resume-abort keeps its .wal for the next start; a dropped job's files
+// are removed next).
+func (jj *jobJournal) close() {
 	if jj == nil {
 		return
 	}
@@ -259,7 +260,6 @@ func (jj *jobJournal) discard() {
 		jj.f = nil
 	}
 	jj.mu.Unlock()
-	jj.jl.remove(jj.id)
 }
 
 // remove deletes a job's journal files (called when the retention bound
@@ -268,12 +268,18 @@ func (jl *journal) remove(id string) {
 	if jl == nil {
 		return
 	}
-	for _, ext := range []string{walExt, doneExt} {
-		if p, ok := jl.path(id, ext); ok {
-			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-				serveMetrics.Get().journalErrors.Inc()
-			}
-		}
+	removeJobFile(jobFile(jl.dir, id, walExt))
+	removeJobFile(jobFile(jl.dir, id, doneExt))
+}
+
+// removeJobFile deletes one per-job file, counting failures other than
+// "already gone" as journal errors.
+func removeJobFile(p string) {
+	if p == "" {
+		return
+	}
+	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+		serveMetrics.Get().journalErrors.Inc()
 	}
 }
 
@@ -375,7 +381,7 @@ func (jl *journal) replayFile(path string, wal bool) (recoveredJob, bool) {
 		rj.events = append(rj.events, *rec.Ev)
 		if rec.Ev.Type == "state" {
 			rj.state = rec.Ev.State
-			if rec.Ev.State == StateDone || rec.Ev.State == StateFailed || rec.Ev.State == StateCanceled {
+			if TerminalState(rec.Ev.State) {
 				rj.terminal = true
 				rj.err = rec.Ev.Error
 			}

@@ -90,13 +90,12 @@ func newResultStore(journalDir string) *resultStore {
 	return &resultStore{dir: dir, own: true}
 }
 
-// path maps a job ID to its spill file, with the same path-hostility guard as
-// the journal ("" = unmappable).
+// path maps a job ID to its spill file ("" = unmappable).
 func (rs *resultStore) path(id string) string {
-	if rs == nil || id == "" || len(id) > 64 || containsPathHostile(id) {
+	if rs == nil {
 		return ""
 	}
-	return filepath.Join(rs.dir, id+".pnr")
+	return jobFile(rs.dir, id, ".pnr")
 }
 
 // open creates (or reopens, for journal recovery and resumed jobs) the spill

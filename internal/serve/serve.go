@@ -146,7 +146,7 @@ type job struct {
 	jobTimeout   time.Duration
 	sweepWorkers int
 	noCache      bool
-	leaseTTL     time.Duration // > 0: job self-cancels unless renewed within each TTL window
+	leaseTTL     time.Duration // > 0: job self-cancels unless renewed within each TTL window; owned by leaseMu
 
 	tok      *budget.Token // child of the server root; tripped by cancel/shutdown
 	cancel   func()
@@ -154,6 +154,7 @@ type job struct {
 	jl       *jobJournal     // nil when journalling is off
 	rf       *resultFile     // spill file for loss-free results (nil = summary-only)
 	idem     string          // Idempotency-Key this job was submitted under ("" = none)
+	idemFP   string          // request fingerprint under that key (journaled as idem_fp)
 	trace    *jobTrace       // distributed timeline (always non-nil for runnable jobs)
 	traceCtx obs.SpanContext // trace ID + remote parent from the submit's traceparent
 
@@ -184,10 +185,46 @@ type jobExec struct {
 	jtok   *budget.Token
 	points []sweep.Point // resolved specs (local execution only)
 	store  *cache.Store
-	next   int // first point index the next chunk runs
-	onPt   func(res sweep.PointResult)
+	next   int    // first point index the next chunk runs
 	state  string // terminal state once decided ("" = still running)
 	err    error
+}
+
+// newJob builds a job from its journal header — the one place header fields
+// become job fields, for fresh submissions and journal recovery alike. The
+// budget token is a child of parent (nil: a root token). The job starts
+// queued; callers attach its files (journal, trace, spill).
+func newJob(hdr jrecord, parent *budget.Token) *job {
+	tok, cancel := budget.WithCancel(parent)
+	tenant := hdr.Tenant
+	if !validTenant(tenant) {
+		tenant = DefaultTenant // journals written before tenancy carry none
+	}
+	j := &job{
+		id:           hdr.ID,
+		kind:         hdr.Kind,
+		tenant:       tenant,
+		specs:        hdr.Specs,
+		compose:      hdr.Compose,
+		jobTimeout:   time.Duration(hdr.TimeoutMS) * time.Millisecond,
+		sweepWorkers: hdr.Workers,
+		noCache:      hdr.NoCache,
+		leaseTTL:     time.Duration(hdr.LeaseTTLMS) * time.Millisecond,
+		tok:          tok,
+		cancel:       cancel,
+		events:       newEventLog(),
+		idem:         hdr.Idem,
+		idemFP:       hdr.IdemFP,
+		traceCtx:     recoveredTraceCtx(hdr.Trace),
+		state:        StateQueued,
+		summaries:    make([]PointSummary, len(hdr.Specs)),
+	}
+	if hdr.Compose != nil {
+		// Compose legs feed buildConfig positionally; keep them index-ordered
+		// whatever order they complete in.
+		j.legs = make([]sweep.PointResult, len(hdr.Specs))
+	}
+	return j
 }
 
 // emit appends ev to the job's event stream and journals exactly what was
@@ -204,13 +241,14 @@ func (j *job) emit(ev Event, terminal bool) {
 // the job cancels itself through its budget token — a leased job whose
 // coordinator died or partitioned away stops consuming the worker; its
 // finished points are already in the shared result cache for whoever picks
-// the lease up next. No-op for jobs submitted without a lease TTL.
+// the lease up next. No-op for jobs submitted without a lease TTL and for
+// stopped leases.
 func (j *job) armLease() {
+	j.leaseMu.Lock()
+	defer j.leaseMu.Unlock()
 	if j.leaseTTL <= 0 {
 		return
 	}
-	j.leaseMu.Lock()
-	defer j.leaseMu.Unlock()
 	if j.leaseT == nil {
 		j.leaseT = time.AfterFunc(j.leaseTTL, func() {
 			serveMetrics.Get().leaseExpired.Inc()
@@ -221,10 +259,12 @@ func (j *job) armLease() {
 	j.leaseT.Reset(j.leaseTTL)
 }
 
-// stopLease disarms the lease timer once the job is terminal (a late expiry
-// against a finished job would be harmless but noisy).
+// stopLease disarms the lease for good once the job is terminal: coordinators
+// heartbeat until they see the terminal state, and a renewal after this must
+// not re-arm the timer into a false expiry.
 func (j *job) stopLease() {
 	j.leaseMu.Lock()
+	j.leaseTTL = 0
 	if j.leaseT != nil {
 		j.leaseT.Stop()
 	}
@@ -265,7 +305,7 @@ func (j *job) status(full bool) JobStatus {
 	if full {
 		st.ComposeResult = j.composite
 	}
-	terminal := j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
+	terminal := TerminalState(j.state)
 	j.mu.Unlock()
 	if full && terminal {
 		if res := j.rf.decodeAll(); res != nil {
@@ -475,7 +515,7 @@ func (s *Server) handleCharacterise(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	s.submit(w, r, "characterise", []PointSpec{req.PointSpec}, req.TimeoutMS, 1, req.NoCache, 0, nil)
+	s.submit(w, r, jrecord{Kind: "characterise", Specs: []PointSpec{req.PointSpec}, TimeoutMS: req.TimeoutMS, Workers: 1, NoCache: req.NoCache})
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -497,21 +537,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if workers <= 0 || workers > s.cfg.MaxSweepWorkers {
 		workers = s.cfg.MaxSweepWorkers
 	}
-	s.submit(w, r, "sweep", req.Points, req.TimeoutMS, workers, req.NoCache, req.LeaseTTLMS, nil)
+	s.submit(w, r, jrecord{Kind: "sweep", Specs: req.Points, TimeoutMS: req.TimeoutMS, Workers: workers, NoCache: req.NoCache, LeaseTTLMS: req.LeaseTTLMS})
 }
 
 // idemFingerprint condenses a submission's identity — kind, every point spec,
-// and the job-wide knobs — to a content address, so an Idempotency-Key reused
-// with a different body is detectable as a client error rather than silently
-// replaying the wrong job.
-func idemFingerprint(kind string, specs []PointSpec, timeoutMS int64, workers int, noCache bool, leaseTTLMS int64, compose *ComposeRequest) string {
+// and the job-wide knobs of its journal header — to a content address, so an
+// Idempotency-Key reused with a different body is detectable as a client
+// error rather than silently replaying the wrong job.
+func idemFingerprint(hdr jrecord) string {
 	f := cache.NewFingerprint()
-	f.Set("kind", kind)
-	if compose != nil {
-		f.Set("compose", compose.fingerprint())
+	f.Set("kind", hdr.Kind)
+	if hdr.Compose != nil {
+		f.Set("compose", hdr.Compose.fingerprint())
 	}
-	f.SetInt("points", len(specs))
-	for i, sp := range specs {
+	f.SetInt("points", len(hdr.Specs))
+	for i, sp := range hdr.Specs {
 		pfx := "p" + strconv.Itoa(i) + "."
 		f.Set(pfx+"name", sp.Name)
 		f.Set(pfx+"model", sp.Model)
@@ -519,34 +559,38 @@ func idemFingerprint(kind string, specs []PointSpec, timeoutMS int64, workers in
 			f.SetFloat(pfx+"param."+k, v)
 		}
 	}
-	f.SetInt("timeout_ms", int(timeoutMS))
-	f.SetInt("workers", workers)
-	if noCache {
+	f.SetInt("timeout_ms", int(hdr.TimeoutMS))
+	f.SetInt("workers", hdr.Workers)
+	if hdr.NoCache {
 		f.SetInt("no_cache", 1)
 	}
-	if leaseTTLMS > 0 {
-		f.SetInt("lease_ttl_ms", int(leaseTTLMS))
+	if hdr.LeaseTTLMS > 0 {
+		f.SetInt("lease_ttl_ms", int(hdr.LeaseTTLMS))
 	}
 	return f.Key()
 }
 
-// submit validates the specs, registers the job and enqueues it, answering
-// 202 with the queued status — or the appropriate rejection. A request
-// carrying an Idempotency-Key header is deduplicated: resubmitting the same
-// body under the same key answers 200 with the existing job's status (however
-// far along it is) instead of queueing a duplicate, so clients can blindly
-// retry a submission whose response was lost. The key→job mapping survives
-// restarts through the journal header.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, specs []PointSpec, timeoutMS int64, workers int, noCache bool, leaseTTLMS int64, compose *ComposeRequest) {
+// submit validates the job a handler described as a journal header (kind,
+// specs and knobs), registers it and enqueues it, answering 202 with the
+// queued status — or the appropriate rejection. It completes the header
+// from the request (tenant, idempotency key and fingerprint, traceparent,
+// ID), and that header is both what gets journaled and what the job is
+// built from. A request carrying an Idempotency-Key header is deduplicated:
+// resubmitting the same body under the same key answers 200 with the
+// existing job's status (however far along it is) instead of queueing a
+// duplicate, so clients can blindly retry a submission whose response was
+// lost. The key→job mapping survives restarts through the journal header.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, hdr jrecord) {
 	m := serveMetrics.Get()
-	tenant := r.Header.Get(TenantHeader)
-	if tenant == "" {
-		tenant = DefaultTenant
-	} else if !validTenant(tenant) {
+	hdr.Tenant = r.Header.Get(TenantHeader)
+	if hdr.Tenant == "" {
+		hdr.Tenant = DefaultTenant
+	} else if !validTenant(hdr.Tenant) {
 		m.rejected.With("bad_request").Inc()
 		writeErr(w, http.StatusBadRequest, "invalid %s header (want [A-Za-z0-9._-]{1,64})", TenantHeader)
 		return
 	}
+	tenant := hdr.Tenant
 	// The quota-check fault point sits in front of admission: ModeError
 	// rejects as if the tenant were over quota, ModeDelay slows the path.
 	if err := faultinject.Fire(faultinject.ServeQuotaCheck); err != nil {
@@ -556,7 +600,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, spe
 		writeErr(w, http.StatusTooManyRequests, "tenant %q over submit quota: %v", tenant, err)
 		return
 	}
-	for i, sp := range specs {
+	for i, sp := range hdr.Specs {
 		if err := sp.validate(); err != nil {
 			m.rejected.With("bad_request").Inc()
 			writeErr(w, http.StatusBadRequest, "point %d: %v", i, err)
@@ -564,31 +608,17 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, spe
 		}
 	}
 
-	idemKey := r.Header.Get("Idempotency-Key")
-	var idemFP string
-	if idemKey != "" {
-		idemFP = idemFingerprint(kind, specs, timeoutMS, workers, noCache, leaseTTLMS, compose)
+	hdr.Idem = r.Header.Get("Idempotency-Key")
+	if hdr.Idem != "" {
+		hdr.IdemFP = idemFingerprint(hdr)
 		s.mu.Lock()
-		if ent, ok := s.idem[idemKey]; ok {
-			prior := s.jobs[ent.id]
-			s.mu.Unlock()
-			if ent.fp != idemFP {
-				m.rejected.With("idem_mismatch").Inc()
-				writeErr(w, http.StatusConflict, "Idempotency-Key %q was used with a different request body", idemKey)
-				return
-			}
-			if prior == nil {
-				// The job aged out of retention; treat the key as spent.
-				m.rejected.With("idem_mismatch").Inc()
-				writeErr(w, http.StatusConflict, "Idempotency-Key %q refers to an evicted job", idemKey)
-				return
-			}
-			m.idemHits.Inc()
-			w.Header().Set("Idempotent-Replay", "true")
-			writeJSON(w, http.StatusOK, prior.status(false))
+		ent, taken := s.idem[hdr.Idem]
+		prior := s.jobs[ent.id]
+		s.mu.Unlock()
+		if taken {
+			replayIdem(w, hdr, ent.fp, prior)
 			return
 		}
-		s.mu.Unlock()
 	}
 
 	// Tenant admission: charge the token bucket and claim an in-flight slot
@@ -614,80 +644,39 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, spe
 	// distributed trace (pnclient injects it; the coordinator's lease
 	// dispatches carry the attempt span). Absent or malformed, the job
 	// starts a fresh trace of its own.
-	traceCtx, hasTP := obs.ParseTraceparent(r.Header.Get("Traceparent"))
-	if !hasTP {
-		traceCtx = obs.SpanContext{Trace: obs.NewTraceID()}
-	}
-
-	tok, cancel := budget.WithCancel(s.root)
-	j := &job{
-		kind:         kind,
-		tenant:       tenant,
-		specs:        specs,
-		compose:      compose,
-		jobTimeout:   time.Duration(timeoutMS) * time.Millisecond,
-		sweepWorkers: workers,
-		noCache:      noCache,
-		leaseTTL:     time.Duration(leaseTTLMS) * time.Millisecond,
-		tok:          tok,
-		cancel:       cancel,
-		events:       newEventLog(),
-		idem:         idemKey,
-		traceCtx:     traceCtx,
-		state:        StateQueued,
-		summaries:    make([]PointSummary, len(specs)),
-	}
-	if compose != nil {
-		// Compose legs feed buildConfig positionally; keep them index-ordered
-		// whatever order they complete in.
-		j.legs = make([]sweep.PointResult, len(specs))
-	}
+	hdr.Trace = recoveredTraceCtx(r.Header.Get("Traceparent")).Traceparent()
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		cancel()
 		s.tenants.unadmit(tenant)
 		m.rejected.With("draining").Inc()
 		writeErr(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	if idemKey != "" {
-		// Racing submissions under the same key: first past this check wins;
-		// re-check under the lock we dropped above.
-		if ent, ok := s.idem[idemKey]; ok {
-			prior := s.jobs[ent.id]
-			s.mu.Unlock()
-			cancel()
-			s.tenants.unadmit(tenant)
-			if ent.fp != idemFP || prior == nil {
-				m.rejected.With("idem_mismatch").Inc()
-				writeErr(w, http.StatusConflict, "Idempotency-Key %q was used with a different request body", idemKey)
-				return
-			}
-			m.idemHits.Inc()
-			w.Header().Set("Idempotent-Replay", "true")
-			writeJSON(w, http.StatusOK, prior.status(false))
-			return
-		}
+	// Racing submissions under the same key: first past this check wins;
+	// re-check under the lock we dropped above.
+	if ent, taken := s.idem[hdr.Idem]; taken && hdr.Idem != "" {
+		prior := s.jobs[ent.id]
+		s.mu.Unlock()
+		s.tenants.unadmit(tenant)
+		replayIdem(w, hdr, ent.fp, prior)
+		return
 	}
 	s.seq++
-	j.id = "j" + strconv.FormatInt(s.seq, 10)
+	hdr.ID = "j" + strconv.FormatInt(s.seq, 10)
+	j := newJob(hdr, s.root)
 	// The header is fsync'd before the 202 goes out: once the client hears
 	// "accepted", the job survives a crash. The queued event rides the same
 	// handle. Both land before the queue send, so everything a worker reads
 	// (id, the queued event) is in place before the job becomes visible.
-	j.jl = s.journal.create(jrecord{
-		ID: j.id, Kind: kind, Tenant: tenant, Specs: specs, TimeoutMS: timeoutMS,
-		Workers: workers, NoCache: noCache, Idem: idemKey, IdemFP: idemFP,
-		LeaseTTLMS: leaseTTLMS, Trace: traceCtx.Traceparent(), Compose: compose,
-	})
-	j.trace = newJobTrace(traceCtx.Trace, tracePath(s.cfg.JournalDir, j.id))
+	j.jl = s.journal.create(hdr)
+	j.trace = newJobTrace(j.traceCtx.Trace, tracePath(s.cfg.JournalDir, j.id))
 	// The spill file is opened (and its header fsync'd) while the job is
 	// still invisible: every reader that can find the job sees the same rf
 	// pointer for its whole life. A nil rf (store unavailable, disk trouble)
 	// degrades this job to summary-only service.
-	j.rf = s.results.open(j.id, len(specs))
+	j.rf = s.results.open(j.id, len(j.specs))
 	j.emit(Event{Type: "state", State: StateQueued}, false)
 	// The gauge rises before the enqueue so the worker's decrement (not under
 	// s.mu) can never be observed ahead of it leaving the depth negative
@@ -695,33 +684,76 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, spe
 	m.queueDepth.Add(1)
 	if err := s.sched.submit(j, s.tenants.weight(tenant)); err != nil {
 		s.mu.Unlock()
-		cancel()
+		j.cancel()
 		s.tenants.unadmit(tenant)
-		j.jl.discard() // an unqueued job must not be resurrected on restart
-		j.trace.discard(tracePath(s.cfg.JournalDir, j.id))
-		j.rf.closeFile()
-		s.results.remove(j.id)
+		s.dropFiles(j) // an unqueued job must not be resurrected on restart
 		m.queueDepth.Add(-1)
 		m.rejected.With("queue_full").Inc()
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusTooManyRequests, "job queue is full (%d)", s.cfg.Queue)
 		return
 	}
-	if idemKey != "" {
-		s.idem[idemKey] = idemEntry{id: j.id, fp: idemFP}
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.evictLocked()
+	s.registerLocked(j)
 	s.mu.Unlock()
 
 	// The lease clock starts at acceptance: a leased job stuck in the queue
 	// of a wedged worker expires like any other, freeing the coordinator to
 	// reassign instead of waiting on a pickup that never comes.
 	j.armLease()
-	m.submitted.With(kind).Inc()
+	m.submitted.With(hdr.Kind).Inc()
 	m.tenantJobs.With(tenant).Inc()
 	writeJSON(w, http.StatusAccepted, j.status(false))
+}
+
+// replayIdem answers a submission whose Idempotency-Key already maps to a job
+// (fp is the fingerprint the key was first used with, prior the job or nil):
+// the prior job's status when the body matches, a 409 when it differs or the
+// job has aged out of retention.
+func replayIdem(w http.ResponseWriter, hdr jrecord, fp string, prior *job) {
+	m := serveMetrics.Get()
+	switch {
+	case fp != hdr.IdemFP:
+		m.rejected.With("idem_mismatch").Inc()
+		writeErr(w, http.StatusConflict, "Idempotency-Key %q was used with a different request body", hdr.Idem)
+	case prior == nil:
+		// The job aged out of retention; treat the key as spent.
+		m.rejected.With("idem_mismatch").Inc()
+		writeErr(w, http.StatusConflict, "Idempotency-Key %q refers to an evicted job", hdr.Idem)
+	default:
+		m.idemHits.Inc()
+		w.Header().Set("Idempotent-Replay", "true")
+		writeJSON(w, http.StatusOK, prior.status(false))
+	}
+}
+
+// registerLocked adds a job to the server's tables — including the
+// idempotency map, under the fingerprint its header carries, so a client
+// retrying its submission after a crash gets the recovered job back rather
+// than a duplicate — and evicts beyond retention. Callers hold s.mu.
+func (s *Server) registerLocked(j *job) {
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	if j.idem != "" {
+		s.idem[j.idem] = idemEntry{id: j.id, fp: j.idemFP}
+	}
+	s.evictLocked()
+}
+
+// closeFiles releases the job's open file handles — journal, trace, spill —
+// leaving the files on disk.
+func (j *job) closeFiles() {
+	j.jl.close()
+	j.trace.close()
+	j.rf.closeFile()
+}
+
+// dropFiles closes and deletes every per-job file: a queue-full rejection
+// (journaled but never enqueued) and retention eviction both end here.
+func (s *Server) dropFiles(j *job) {
+	j.closeFiles()
+	s.journal.remove(j.id)
+	removeJobFile(tracePath(s.cfg.JournalDir, j.id))
+	s.results.remove(j.id)
 }
 
 // evictLocked drops the oldest terminal jobs beyond the retention bound.
@@ -737,7 +769,7 @@ func (s *Server) evictLocked() {
 				break
 			}
 			j.mu.Lock()
-			terminal := j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
+			terminal := TerminalState(j.state)
 			j.mu.Unlock()
 			if terminal {
 				delete(s.jobs, id)
@@ -745,10 +777,7 @@ func (s *Server) evictLocked() {
 				if j.idem != "" {
 					delete(s.idem, j.idem)
 				}
-				s.journal.remove(id)
-				j.trace.discard(tracePath(s.cfg.JournalDir, id))
-				j.rf.closeFile()
-				s.results.remove(id)
+				s.dropFiles(j)
 				evicted = true
 				break
 			}
@@ -809,6 +838,9 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if limit > 4096 {
 		limit = 4096
 	}
+	// Past the last point every offset is the same empty page; clamping
+	// first keeps offset+limit from overflowing.
+	offset = min(offset, len(j.specs))
 	j.mu.Lock()
 	state := j.state
 	j.mu.Unlock()
@@ -912,17 +944,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // own queue/job numbers; a coordinator (Config.ClusterStatus installed) adds
 // per-worker health/breaker state and the in-flight lease table.
 func (s *Server) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	running := 0
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		if j.state == StateRunning {
-			running++
-		}
-		j.mu.Unlock()
-	}
-	s.mu.Unlock()
+	draining, running := s.liveness()
 	st := ClusterStatus{Draining: draining, QueueDepth: s.sched.depth(), RunningJobs: running}
 	if s.cfg.ClusterStatus != nil {
 		st.Coordinator = true
@@ -951,9 +973,15 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 // draining or not. Orchestrators restart on liveness failure, so this must
 // never report unhealthy for conditions a restart would not fix.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
+	draining, running := s.liveness()
+	writeJSON(w, http.StatusOK, Health{OK: true, Draining: draining, Queued: s.sched.depth(), Running: running})
+}
+
+// liveness snapshots the draining flag and the running-job count that
+// /healthz and /v1/cluster/status report.
+func (s *Server) liveness() (draining bool, running int) {
 	s.mu.Lock()
-	draining := s.draining
-	running := 0
+	defer s.mu.Unlock()
 	for _, j := range s.jobs {
 		j.mu.Lock()
 		if j.state == StateRunning {
@@ -961,8 +989,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		}
 		j.mu.Unlock()
 	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, Health{OK: true, Draining: draining, Queued: s.sched.depth(), Running: running})
+	return s.draining, running
 }
 
 // handleReady is readiness: 503 while draining (stop sending traffic here)
@@ -1059,8 +1086,7 @@ func (s *Server) runUnit(j *job) {
 }
 
 // beginJob runs once per job, on its first grant: state transition, root
-// span, the composed budget token, and the per-point completion hook that
-// spills every loss-free result to the job's file the moment it lands.
+// span and the composed budget token.
 func (s *Server) beginJob(j *job) {
 	m := serveMetrics.Get()
 	m.queueDepth.Add(-1)
@@ -1081,29 +1107,44 @@ func (s *Server) beginJob(j *job) {
 	if s.cfg.MaxJobWall > 0 {
 		jtok = budget.WithTimeout(jtok, s.cfg.MaxJobWall)
 	}
-	ex := &jobExec{start: time.Now(), span: span, jtok: jtok}
-	ex.onPt = func(r sweep.PointResult) {
-		// Spill before summarising: once the summary is visible the loss-free
-		// payload must already be durable-ish (same ordering as emit-then-ack
-		// in the journal). Append failures degrade the file, never the job.
-		_ = j.rf.appendResult(&r)
-		sum := summarize(&r)
-		j.mu.Lock()
-		if j.legs != nil && r.Index >= 0 && r.Index < len(j.legs) {
-			j.legs[r.Index] = r // compose legs feed the composition step
-		}
-		j.summaries[r.Index] = sum
-		j.doneN++
-		if r.Cached {
-			j.cachedN++
-		}
-		if !r.OK() {
-			j.failedN++
-		}
-		j.mu.Unlock()
-		j.emit(Event{Type: "point", Point: &sum}, false)
+	j.exec = &jobExec{start: time.Now(), span: span, jtok: jtok}
+}
+
+// noteResult takes one completed point's loss-free result and spills it to
+// the job's file. Callers spill before notePoint publishes the summary: once
+// the summary is visible the payload is already on disk (same ordering as
+// emit-then-ack in the journal). Append failures degrade the file, never the
+// job. Compose legs also keep the result for the composition step.
+func (j *job) noteResult(r sweep.PointResult) {
+	if r.Index < 0 || r.Index >= len(j.specs) {
+		return
 	}
-	j.exec = ex
+	_ = j.rf.appendResult(&r)
+	if j.legs != nil {
+		j.mu.Lock()
+		j.legs[r.Index] = r
+		j.mu.Unlock()
+	}
+}
+
+// notePoint folds one completed point's summary into the job's counters and
+// its SSE stream. Safe for concurrent use: a runner may stream points from
+// several workers at once.
+func (j *job) notePoint(sum PointSummary) {
+	if sum.Index < 0 || sum.Index >= len(j.specs) {
+		return
+	}
+	j.mu.Lock()
+	j.summaries[sum.Index] = sum
+	j.doneN++
+	if sum.Cached {
+		j.cachedN++
+	}
+	if !sum.OK {
+		j.failedN++
+	}
+	j.mu.Unlock()
+	j.emit(Event{Type: "point", Point: &sum}, false)
 }
 
 // stepJob advances the job by one grant. It records the terminal outcome on
@@ -1169,7 +1210,7 @@ func (s *Server) stepJob(j *job) {
 
 // runChunk runs points [a, b) through the in-process sweep engine. The engine
 // sees a zero-based sub-slice; results are re-indexed to job coordinates
-// before the completion hook. DiscardResults keeps the engine from returning
+// before they are noted. DiscardResults keeps the engine from returning
 // an O(chunk) slice nobody reads — the spill file is the system of record.
 func (s *Server) runChunk(j *job, a, b int) {
 	ex := j.exec
@@ -1182,19 +1223,17 @@ func (s *Server) runChunk(j *job, a, b int) {
 		DiscardResults: true,
 		OnPoint: func(r sweep.PointResult) {
 			r.Index += a
-			ex.onPt(r)
+			j.noteResult(r)
+			j.notePoint(summarize(&r))
 		},
 	})
 }
 
 // runViaRunner executes the job through the configured SweepRunner (a
-// cluster coordinator, in practice) and returns ("", nil) on success.
-// Per-point progress arrives through OnSummary — possibly concurrently from
-// several worker streams — and is folded into the job's counters and SSE
-// stream exactly like the in-process path's hook; the loss-free payloads
-// arrive through OnResult and go straight to the spill file. Both are
-// trusted to arrive at most once per index, but an out-of-range index is
-// dropped rather than corrupting state.
+// cluster coordinator, in practice) and returns ("", nil) on success. The
+// runner's hooks are the same noteResult/notePoint the in-process path
+// calls; both are trusted to arrive at most once per index, and an
+// out-of-range index is dropped rather than corrupting state.
 func (s *Server) runViaRunner(j *job) (string, error) {
 	ex := j.exec
 	runErr := s.cfg.Runner.RunSweep(RunnerRequest{
@@ -1206,33 +1245,8 @@ func (s *Server) runViaRunner(j *job) (string, error) {
 		NoCache:     j.noCache,
 		Span:        ex.span,
 		IngestTrace: j.trace.ingest,
-		OnResult: func(r sweep.PointResult) {
-			if r.Index < 0 || r.Index >= len(j.specs) {
-				return
-			}
-			_ = j.rf.appendResult(&r)
-			if j.legs != nil {
-				j.mu.Lock()
-				j.legs[r.Index] = r
-				j.mu.Unlock()
-			}
-		},
-		OnSummary: func(sum PointSummary) {
-			if sum.Index < 0 || sum.Index >= len(j.specs) {
-				return
-			}
-			j.mu.Lock()
-			j.summaries[sum.Index] = sum
-			j.doneN++
-			if sum.Cached {
-				j.cachedN++
-			}
-			if !sum.OK {
-				j.failedN++
-			}
-			j.mu.Unlock()
-			j.emit(Event{Type: "point", Point: &sum}, false)
-		},
+		OnResult:    j.noteResult,
+		OnSummary:   j.notePoint,
 	})
 
 	if runErr != nil {
@@ -1261,11 +1275,13 @@ func (s *Server) finishJob(j *job) {
 	j.state = state
 	j.err = jobErr
 	j.wall = time.Since(ex.start)
-	j.mu.Unlock()
 	// The terminal event carries the job-level error and is fsync'd + rotated
 	// (.wal → .jsonl) before subscribers see the stream close: a crash after
-	// this line replays as a finished job, never as a re-run.
+	// this line replays as a finished job, never as a re-run. j.mu is held
+	// across it so a status read never reports a terminal state that is not
+	// yet durable.
 	j.emit(Event{Type: "state", State: state, Error: sweep.EncodeError(jobErr)}, true)
+	j.mu.Unlock()
 	j.events.close()
 	j.cancel() // release the token's forwarding goroutine
 	j.rf.seal()
@@ -1321,29 +1337,13 @@ func (s *Server) recoverJobs() {
 // /results pages and /results.jsonl all work across the restart; only a job
 // with no spill (pre-store journals, degraded runs) is summary-only.
 func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
-	tok, cancel := budget.WithCancel(nil)
-	cancel() // nothing will run; release the token immediately
-	traceCtx := recoveredTraceCtx(rj.hdr.Trace)
-	j := &job{
-		id:           rj.hdr.ID,
-		kind:         rj.hdr.Kind,
-		tenant:       recoveredTenant(rj.hdr),
-		specs:        rj.hdr.Specs,
-		compose:      rj.hdr.Compose,
-		jobTimeout:   time.Duration(rj.hdr.TimeoutMS) * time.Millisecond,
-		sweepWorkers: rj.hdr.Workers,
-		noCache:      rj.hdr.NoCache,
-		tok:          tok,
-		cancel:       cancel,
-		events:       newEventLog(),
-		idem:         rj.hdr.Idem,
-		traceCtx:     traceCtx,
-		state:        rj.state,
-		summaries:    make([]PointSummary, len(rj.hdr.Specs)),
-	}
+	j := newJob(rj.hdr, nil)
+	j.cancel()    // nothing will run; release the token immediately
+	j.stopLease() // a renewal must not arm a finished job's lease
+	j.state = rj.state
 	j.rf = s.results.openExisting(j.id, len(j.specs))
 	j.rf.seal() // terminal: frozen read-only, late appends no-op
-	j.trace = reopenJobTrace(traceCtx.Trace, tracePath(s.cfg.JournalDir, j.id))
+	j.trace = reopenJobTrace(j.traceCtx.Trace, tracePath(s.cfg.JournalDir, j.id))
 	j.trace.close() // terminal: the timeline is read-only from here
 	if rj.err != nil {
 		j.err = rj.err
@@ -1360,7 +1360,9 @@ func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
 			jj.mu.Unlock()
 		}
 	}
-	s.register(j)
+	s.mu.Lock()
+	s.registerLocked(j)
+	s.mu.Unlock()
 	m.recovered.With("terminal").Inc()
 }
 
@@ -1371,30 +1373,8 @@ func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
 // restart from zero — the re-run recounts. Returns false when the server is
 // draining and the job could not be enqueued.
 func (s *Server) resumeJob(rj recoveredJob, m *serveInstruments) bool {
-	tok, cancel := budget.WithCancel(s.root)
-	traceCtx := recoveredTraceCtx(rj.hdr.Trace)
-	j := &job{
-		id:           rj.hdr.ID,
-		kind:         rj.hdr.Kind,
-		tenant:       recoveredTenant(rj.hdr),
-		specs:        rj.hdr.Specs,
-		compose:      rj.hdr.Compose,
-		jobTimeout:   time.Duration(rj.hdr.TimeoutMS) * time.Millisecond,
-		sweepWorkers: rj.hdr.Workers,
-		noCache:      rj.hdr.NoCache,
-		leaseTTL:     time.Duration(rj.hdr.LeaseTTLMS) * time.Millisecond,
-		tok:          tok,
-		cancel:       cancel,
-		events:       newEventLog(),
-		jl:           s.journal.reopen(rj.hdr.ID),
-		idem:         rj.hdr.Idem,
-		traceCtx:     traceCtx,
-		state:        StateQueued,
-		summaries:    make([]PointSummary, len(rj.hdr.Specs)),
-	}
-	if j.compose != nil {
-		j.legs = make([]sweep.PointResult, len(j.specs))
-	}
+	j := newJob(rj.hdr, s.root)
+	j.jl = s.journal.reopen(j.id)
 	// The re-run re-reports every point (pre-crash ones as cache hits); the
 	// reopened spill dedups by index, so frames that landed before the crash
 	// stay exactly as first written.
@@ -1403,71 +1383,37 @@ func (s *Server) resumeJob(rj recoveredJob, m *serveInstruments) bool {
 	// resume marker records the restart itself — in-flight span trees died
 	// unemitted with the old process, and this marker is what explains the
 	// gap when reading the merged timeline.
-	j.trace = reopenJobTrace(traceCtx.Trace, tracePath(s.cfg.JournalDir, j.id))
+	j.trace = reopenJobTrace(j.traceCtx.Trace, tracePath(s.cfg.JournalDir, j.id))
 	j.trace.Emit(obs.Event{Type: "resume", Name: "serve.job.resumed", StartNS: time.Now().UnixNano()})
 	j.events.restore(rj.events)
 	j.emit(Event{Type: "state", State: StateQueued}, false)
-	s.register(j)
+	m.queueDepth.Add(1)
+	// Registered under the same lock as the enqueue, so a job is in the
+	// tables exactly when it is in the queue.
+	s.mu.Lock()
+	err := s.sched.resume(j, s.tenants.weight(j.tenant))
+	if err == nil {
+		s.registerLocked(j)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		// Shutting down before this job could re-enter the queue: keep its
+		// .wal on disk so the next start resumes it.
+		j.cancel()
+		j.closeFiles()
+		m.queueDepth.Add(-1)
+		return false
+	}
 	// The lease resumes with a full TTL window: the coordinator's renew loop
 	// (or its own journal replay) has one whole period to find the restarted
 	// worker before the job self-cancels.
 	j.armLease()
-	m.queueDepth.Add(1)
-	if s.sched.resume(j, s.tenants.weight(j.tenant)) == nil {
-		// The previous process admitted this job; re-claim its in-flight slot
-		// (without charging the submit bucket) so quota accounting survives
-		// the restart.
-		s.tenants.restore(j.tenant)
-		m.recovered.With("resumed").Inc()
-		return true
-	}
-	// Shutting down before this job could re-enter the queue: unregister
-	// and keep its .wal on disk so the next start resumes it.
-	cancel()
-	j.rf.closeFile()
-	m.queueDepth.Add(-1)
-	s.mu.Lock()
-	delete(s.jobs, j.id)
-	for i, id := range s.order {
-		if id == j.id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	if j.idem != "" {
-		delete(s.idem, j.idem)
-	}
-	s.mu.Unlock()
-	return false
-}
-
-// recoveredTenant maps a journal header to its admission identity; journals
-// written before tenancy existed carry no tenant and fold into the default.
-func recoveredTenant(hdr jrecord) string {
-	if validTenant(hdr.Tenant) {
-		return hdr.Tenant
-	}
-	return DefaultTenant
-}
-
-// register adds a recovered job to the server's tables (including the
-// idempotency map, so a client retrying its submission after the crash gets
-// the recovered job back, not a duplicate).
-func (s *Server) register(j *job) {
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	if j.idem != "" {
-		s.idem[j.idem] = idemEntry{id: j.id, fp: j.idemFP()}
-	}
-	s.evictLocked()
-	s.mu.Unlock()
-}
-
-// idemFP recomputes the job's idempotency fingerprint from its own fields
-// (recovered headers carry the key; the fingerprint is derivable).
-func (j *job) idemFP() string {
-	return idemFingerprint(j.kind, j.specs, int64(j.jobTimeout/time.Millisecond), j.sweepWorkers, j.noCache, int64(j.leaseTTL/time.Millisecond), j.compose)
+	// The previous process admitted this job; re-claim its in-flight slot
+	// (without charging the submit bucket) so quota accounting survives the
+	// restart.
+	s.tenants.restore(j.tenant)
+	m.recovered.With("resumed").Inc()
+	return true
 }
 
 // restoreProgress rebuilds a terminal job's counters and summaries from its

@@ -63,21 +63,12 @@ func recoveredTraceCtx(traceparent string) obs.SpanContext {
 }
 
 // tracePath maps a job ID into the traces subdirectory ("" when journalling
-// is off or the ID is path-hostile, mirroring journal.path).
+// is off or the ID is path-hostile).
 func tracePath(journalDir, id string) string {
-	if journalDir == "" || id == "" || len(id) > 64 || containsPathHostile(id) {
+	if journalDir == "" {
 		return ""
 	}
-	return filepath.Join(journalDir, traceSubdir, id+".jsonl")
-}
-
-func containsPathHostile(id string) bool {
-	for _, r := range id {
-		if r == '/' || r == '\\' || r == '.' {
-			return true
-		}
-	}
-	return false
+	return jobFile(filepath.Join(journalDir, traceSubdir), id, ".jsonl")
 }
 
 // newJobTrace opens a fresh trace for a job. path == "" keeps it memory-only.
@@ -246,17 +237,6 @@ func (t *jobTrace) close() {
 		t.f = nil
 	}
 	t.mu.Unlock()
-}
-
-// discard closes the handle and deletes the trace file — eviction-time
-// cleanup, paired with journal.remove.
-func (t *jobTrace) discard(path string) {
-	t.close()
-	if path != "" {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			serveMetrics.Get().journalErrors.Inc()
-		}
-	}
 }
 
 // renderTrace builds the API view: the raw timeline plus per-stage and
