@@ -24,12 +24,13 @@ race:
 	$(GO) test -race -timeout 10m ./...
 
 # Fault-injection (chaos) suite under the race detector: the faultinject
-# package itself, the named-fault consumers in cache/sweep/osc/serve
-# (journal durability, readiness lifecycle, injected I/O and model faults),
-# and the SIGKILL crash-recovery e2e in cmd/pnserve. CI runs the same
-# commands (chaos job).
+# package itself, the record-file layer under every append-only log (torn
+# tails, bit flips, legacy conversion), the named-fault consumers in
+# cache/sweep/osc/serve (journal durability, readiness lifecycle, injected
+# I/O and model faults), and the SIGKILL crash-recovery e2e in cmd/pnserve.
+# CI runs the same commands (chaos job), plus a bounded FuzzOpen run.
 chaos:
-	$(GO) test -race -timeout 10m ./internal/faultinject/
+	$(GO) test -race -timeout 10m ./internal/faultinject/ ./internal/wal/
 	$(GO) test -race -timeout 15m \
 		-run 'TestChaos|TestFault|TestJournal|TestReadyz|TestCrashRecovery' \
 		./internal/cache/ ./internal/sweep/ ./internal/osc/ ./internal/serve/ ./internal/pll/ ./cmd/pnserve

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -10,17 +11,22 @@ import (
 
 // diskSchemaVersion is the on-disk envelope schema. Entries with a different
 // version (or none) are treated as misses and removed, so a schema change
-// invalidates stale files instead of decoding them wrongly.
-const diskSchemaVersion = 1
+// invalidates stale files instead of decoding them wrongly. Version 2 added
+// the payload checksum.
+const diskSchemaVersion = 2
 
 // diskEnvelope wraps a payload on disk with enough context to validate it:
-// the schema version and the key the payload was stored under (guards
-// against files copied or renamed across keys).
+// the schema version, the key the payload was stored under (guards against
+// files copied or renamed across keys) and the payload's CRC-32C (guards
+// against a flipped digit that still parses).
 type diskEnvelope struct {
 	V       int             `json:"v"`
 	Key     string          `json:"key"`
+	CRC     uint32          `json:"crc"`
 	Payload json.RawMessage `json:"payload"`
 }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // diskStore is the persistent tier: one JSON file per key under dir.
 // Writes are atomic and durable (temp file, fsync, rename, directory fsync);
@@ -73,7 +79,8 @@ func (d *diskStore) get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	var env diskEnvelope
-	if err := json.Unmarshal(data, &env); err != nil || env.V != diskSchemaVersion || env.Key != key || len(env.Payload) == 0 {
+	if err := json.Unmarshal(data, &env); err != nil || env.V != diskSchemaVersion || env.Key != key || len(env.Payload) == 0 ||
+		env.CRC != crc32.Checksum(env.Payload, castagnoli) {
 		cacheMetrics.Get().diskErrors.Inc()
 		_ = os.Remove(p)
 		return nil, false
@@ -89,13 +96,16 @@ func (d *diskStore) get(key string) ([]byte, bool) {
 // as silent recomputation, or worse, serve as garbage.
 //
 // The payload must be valid JSON (the store's envelope embeds it verbatim);
-// Store.Put validates that upstream.
+// Store.Put validates that upstream. The checksum covers the payload as
+// given, so it must also be compact, as json.Marshal output is: the envelope
+// encoder compacts it, and a payload it changed would read back as a miss.
 func (d *diskStore) put(key string, payload []byte) {
 	p, ok := d.path(key)
 	if !ok {
 		return
 	}
-	data, err := json.Marshal(diskEnvelope{V: diskSchemaVersion, Key: key, Payload: payload})
+	env := diskEnvelope{V: diskSchemaVersion, Key: key, CRC: crc32.Checksum(payload, castagnoli), Payload: payload}
+	data, err := json.Marshal(env)
 	if err != nil {
 		cacheMetrics.Get().diskErrors.Inc()
 		return

@@ -1,25 +1,28 @@
 package serve
 
 import (
-	"bufio"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
 	"repro/internal/faultinject"
 	"repro/internal/sweep"
+	"repro/internal/wal"
 )
 
-// The job journal is the server's write-ahead durability layer: one
-// append-only JSONL file per job under Config.JournalDir. The first line is
+// The job journal is the server's write-ahead durability layer: one record
+// file (internal/wal) per job under Config.JournalDir. The first record is
 // the job header (everything needed to re-create the job as pure data —
-// kind, specs, knobs, idempotency fingerprint); every following line is one
+// kind, specs, knobs, idempotency fingerprint); every following record is one
 // progress event exactly as a subscriber saw it (state transitions and
-// per-point summaries, with their sequence numbers).
+// per-point summaries, with their sequence numbers), each a JSON object.
 //
 // Lifecycle on disk:
 //
@@ -29,15 +32,16 @@ import (
 //	            never correctness, because completed points live in the
 //	            content-addressed result cache.
 //	<id>.jsonl  terminal job, atomically rotated (fsync + rename) from the
-//	            .wal once the terminal state event is durable.
+//	            .wal once the terminal state event is durable (the name is
+//	            historical: both are record files).
 //
 // On restart, replay walks the directory: .jsonl files restore queryable
 // terminal jobs; .wal files restore the event history and re-enqueue the job
 // — already-computed points come back as cache hits, only unfinished points
-// recompute. Replay is corruption-tolerant line by line: a torn final line
-// (the normal crash artifact) or a garbage line is skipped, and a file whose
-// header is unreadable is quarantined to <name>.corrupt instead of wedging
-// startup.
+// recompute. Replay keeps every record before the first damaged one (the
+// record file's one damage rule) and skips records that do not decode; a
+// file that is not a record file, or whose header is unusable, is
+// quarantined to <name>.corrupt instead of wedging startup.
 const (
 	walExt  = ".wal"
 	doneExt = ".jsonl"
@@ -47,7 +51,7 @@ const (
 // envelope: records from a different version are ignored on replay.
 const journalSchemaVersion = 1
 
-// jrecord is one JSONL line of a job journal.
+// jrecord is one record of a job journal.
 type jrecord struct {
 	V int    `json:"v"`
 	T string `json:"t"` // "accepted" or "event"
@@ -113,10 +117,8 @@ type jobJournal struct {
 	jl *journal
 	id string
 
-	mu        sync.Mutex
-	f         *os.File
-	enc       *bufio.Writer
-	finalized bool
+	mu sync.Mutex
+	f  *wal.File // nil once closed or rotated
 }
 
 // create opens a fresh .wal, writes the header record and fsyncs it, so an
@@ -137,14 +139,14 @@ func (jl *journal) create(hdr jrecord) *jobJournal {
 		m.journalErrors.Inc()
 		return nil
 	}
-	f, err := os.OpenFile(p, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, _, err := wal.Open(p, nil)
 	if err != nil {
 		m.journalErrors.Inc()
 		return nil
 	}
 	hdr.V = journalSchemaVersion
 	hdr.T = "accepted"
-	jj := &jobJournal{jl: jl, id: hdr.ID, f: f, enc: bufio.NewWriter(f)}
+	jj := &jobJournal{jl: jl, id: hdr.ID, f: f}
 	if !jj.writeLocked(hdr, true) {
 		_ = f.Close()
 		return nil
@@ -152,26 +154,9 @@ func (jl *journal) create(hdr jrecord) *jobJournal {
 	return jj
 }
 
-// reopen continues an existing .wal of a recovered job in append mode.
-func (jl *journal) reopen(id string) *jobJournal {
-	if jl == nil {
-		return nil
-	}
-	p := jobFile(jl.dir, id, walExt)
-	if p == "" {
-		return nil
-	}
-	f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		serveMetrics.Get().journalErrors.Inc()
-		return nil
-	}
-	return &jobJournal{jl: jl, id: id, f: f, enc: bufio.NewWriter(f)}
-}
-
 // event appends one progress event. terminal events are fsync'd and rotate
-// the file to its .jsonl resting name; intermediate events are buffered
-// best-effort (an fsync per point would put a disk round-trip on the sweep
+// the file to its .jsonl resting name; intermediate events are written
+// without an fsync (one per point would put a disk round-trip on the sweep
 // hot path for durability the result cache already provides).
 func (jj *jobJournal) event(ev Event, terminal bool) {
 	if jj == nil {
@@ -179,7 +164,7 @@ func (jj *jobJournal) event(ev Event, terminal bool) {
 	}
 	jj.mu.Lock()
 	defer jj.mu.Unlock()
-	if jj.finalized || jj.f == nil {
+	if jj.f == nil {
 		return
 	}
 	if faultinject.Fire(faultinject.ServeJournalWrite) != nil {
@@ -203,15 +188,11 @@ func (jj *jobJournal) writeLocked(rec jrecord, sync bool) bool {
 		m.journalErrors.Inc()
 		return false
 	}
-	if _, err := jj.enc.Write(append(data, '\n')); err != nil {
+	if _, err := jj.f.Append(data); err != nil {
 		m.journalErrors.Inc()
 		return false
 	}
 	if sync {
-		if err := jj.enc.Flush(); err != nil {
-			m.journalErrors.Inc()
-			return false
-		}
 		if err := jj.f.Sync(); err != nil {
 			m.journalErrors.Inc()
 			return false
@@ -221,13 +202,11 @@ func (jj *jobJournal) writeLocked(rec jrecord, sync bool) bool {
 	return true
 }
 
-// rotateLocked finalizes the journal: flush, fsync, close, and atomically
-// rename <id>.wal → <id>.jsonl, then fsync the directory so the rotation
-// itself is durable. After rotation the handle is dead.
+// rotateLocked finalizes the journal: fsync, close, and atomically rename
+// <id>.wal → <id>.jsonl, then fsync the directory so the rotation itself is
+// durable. After rotation the handle is dead.
 func (jj *jobJournal) rotateLocked() {
 	m := serveMetrics.Get()
-	jj.finalized = true
-	_ = jj.enc.Flush()
 	_ = jj.f.Sync()
 	_ = jj.f.Close()
 	jj.f = nil
@@ -254,7 +233,6 @@ func (jj *jobJournal) close() {
 		return
 	}
 	jj.mu.Lock()
-	jj.finalized = true
 	if jj.f != nil {
 		_ = jj.f.Close()
 		jj.f = nil
@@ -290,93 +268,62 @@ type recoveredJob struct {
 	state    string             // last journaled state (StateQueued when none)
 	err      *sweep.RemoteError // terminal error, when journaled
 	terminal bool
-	wal      bool // true when read from an active .wal (may need re-enqueue)
+	// f is the open handle of an active .wal (the job may need re-enqueueing
+	// and keeps appending to it); nil for a rotated .jsonl.
+	f *wal.File
 }
 
 // replay reads every journal file in the directory and reconstructs its job.
-// Corrupt lines are skipped (counted); files without a usable header are
-// quarantined. The returned jobs are sorted by numeric ID so re-enqueue order
-// matches original submission order.
+// The returned jobs are sorted by numeric ID so re-enqueue order matches
+// original submission order; the caller owns their .wal handles.
 func (jl *journal) replay() []recoveredJob {
 	if jl == nil {
 		return nil
 	}
-	m := serveMetrics.Get()
 	ents, err := os.ReadDir(jl.dir)
 	if err != nil {
-		m.journalErrors.Inc()
+		serveMetrics.Get().journalErrors.Inc()
 		return nil
 	}
 	var out []recoveredJob
 	for _, e := range ents {
 		name := e.Name()
-		var wal bool
-		switch {
-		case strings.HasSuffix(name, walExt):
-			wal = true
-		case strings.HasSuffix(name, doneExt):
-		default:
+		if !strings.HasSuffix(name, walExt) && !strings.HasSuffix(name, doneExt) {
 			continue
 		}
-		rj, ok := jl.replayFile(filepath.Join(jl.dir, name), wal)
-		if !ok {
-			// No usable header: quarantine so the next start is clean and the
-			// operator can inspect the file.
-			m.replayCorrupt.Inc()
-			_ = os.Rename(filepath.Join(jl.dir, name), filepath.Join(jl.dir, name+".corrupt"))
-			continue
+		if rj, ok := jl.replayFile(filepath.Join(jl.dir, name), strings.HasSuffix(name, walExt)); ok {
+			out = append(out, rj)
 		}
-		out = append(out, rj)
 	}
 	sortRecovered(out)
 	return out
 }
 
-// replayFile parses one journal file. It returns ok=false only when the
-// header is unusable; event-line corruption is tolerated record by record.
-func (jl *journal) replayFile(path string, wal bool) (recoveredJob, bool) {
+// replayFile reads one journal file. Undecodable event records are skipped
+// (counted); ok=false means no usable job. A file that is not a record file
+// or whose header is unusable is quarantined to <name>.corrupt, so the next
+// start is clean and the operator can inspect it; an unreadable one is left
+// for the next start.
+func (jl *journal) replayFile(path string, active bool) (rj recoveredJob, ok bool) {
 	m := serveMetrics.Get()
-	f, err := os.Open(path)
-	if err != nil {
-		m.journalErrors.Inc()
-		return recoveredJob{}, false
-	}
-	defer f.Close()
-
-	rj := recoveredJob{state: StateQueued, wal: wal}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
-	first := true
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	rj.state = StateQueued
+	first, badHeader := true, false
+	f, cut, err := wal.Open(path, func(_ int64, data []byte) {
 		var rec jrecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.V != journalSchemaVersion {
-			m.replayCorrupt.Inc()
-			if first {
-				return recoveredJob{}, false
-			}
-			continue // torn or garbage line: skip, keep what parsed
-		}
+		derr := json.Unmarshal(data, &rec)
 		if first {
-			if rec.T != "accepted" || rec.ID == "" || (len(rec.Specs) == 0 && rec.Compose == nil) {
-				return recoveredJob{}, false
-			}
-			rj.hdr = rec
 			first = false
-			continue
-		}
-		if rec.T != "event" || rec.Ev == nil {
-			m.replayCorrupt.Inc()
-			continue
+			badHeader = derr != nil || rec.V != journalSchemaVersion || rec.T != "accepted" || rec.ID == "" ||
+				(len(rec.Specs) == 0 && rec.Compose == nil)
+			rj.hdr = rec
+			return
 		}
 		// Sequence numbers must stay a contiguous 1..n prefix for SSE replay;
-		// a gap means lost lines, so truncate the restored history there.
-		if rec.Ev.Seq != int64(len(rj.events))+1 {
+		// a gap means lost records, so the restored history stops there.
+		if derr != nil || rec.V != journalSchemaVersion || rec.T != "event" || rec.Ev == nil ||
+			rec.Ev.Seq != int64(len(rj.events))+1 {
 			m.replayCorrupt.Inc()
-			continue
+			return
 		}
 		rj.events = append(rj.events, *rec.Ev)
 		if rec.Ev.Type == "state" {
@@ -386,9 +333,37 @@ func (jl *journal) replayFile(path string, wal bool) (recoveredJob, bool) {
 				rj.err = rec.Ev.Error
 			}
 		}
+	})
+	switch {
+	case errors.Is(err, wal.ErrCorrupt): // quarantined by wal.Open
+		m.replayCorrupt.Inc()
+		return recoveredJob{}, false
+	case err != nil:
+		m.journalErrors.Inc()
+		return recoveredJob{}, false
 	}
-	if first {
-		return recoveredJob{}, false // empty or header-only-corrupt file
+	if cut {
+		m.replayCorrupt.Inc()
+	}
+	if first || badHeader {
+		_ = f.Close()
+		m.replayCorrupt.Inc()
+		_ = os.Rename(path, path+".corrupt")
+		return recoveredJob{}, false
+	}
+	if active {
+		rj.f = f
+		return rj, true
+	}
+	_ = f.Close()
+	if !rj.terminal {
+		// A journal is rotated only after its terminal event is durable, so a
+		// rotated one without it lost its tail to damage. Nothing will ever
+		// run the job again: restore it failed rather than running forever.
+		last := int64(len(rj.events))
+		rj.state, rj.terminal = StateFailed, true
+		rj.err = &sweep.RemoteError{Msg: fmt.Sprintf("journal damaged after event seq %d: terminal state lost", last)}
+		rj.events = append(rj.events, Event{Seq: last + 1, Type: "state", State: StateFailed, Error: rj.err})
 	}
 	return rj, true
 }
@@ -404,13 +379,10 @@ func sortRecovered(jobs []recoveredJob) {
 		}
 		return n
 	}
-	for i := 1; i < len(jobs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := jobs[j-1], jobs[j]
-			if num(a.hdr.ID) < num(b.hdr.ID) || (num(a.hdr.ID) == num(b.hdr.ID) && a.hdr.ID <= b.hdr.ID) {
-				break
-			}
-			jobs[j-1], jobs[j] = b, a
+	slices.SortStableFunc(jobs, func(a, b recoveredJob) int {
+		if c := cmp.Compare(num(a.hdr.ID), num(b.hdr.ID)); c != 0 {
+			return c
 		}
-	}
+		return strings.Compare(a.hdr.ID, b.hdr.ID)
+	})
 }

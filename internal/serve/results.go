@@ -12,49 +12,36 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/sweep"
+	"repro/internal/wal"
 )
 
 // The result store is the journal's sibling for payloads: where the WAL makes
 // a job's *lifecycle* durable, the spill file makes its *results* durable and
 // memory-bounded. Every completed sweep.PointResult streams out of OnPoint
-// into an append-only, length-prefixed file (<dir>/results/<id>.pnr) the
+// into an append-only record file (internal/wal, <dir>/results/<id>.pnr) the
 // moment it completes, so the server never retains a per-job O(points) result
 // slice — a 10⁵-point sweep holds open one file descriptor and a 12-byte
 // in-memory index entry per point, nothing else. Retrieval (status ?full=1,
-// paginated /results, streaming /results.jsonl) reads frames straight back
-// off disk, including for journal-recovered jobs: the spill file survives a
-// SIGKILL alongside the WAL and is re-indexed on open with the same
-// torn-tail tolerance as journal replay.
+// paginated /results, streaming /results.jsonl) reads records straight back
+// off disk, each checked against its checksum, including for
+// journal-recovered jobs: the spill file survives a SIGKILL alongside the WAL
+// and is re-indexed on open under the record file's damage rule.
 //
-// File format, all integers big-endian:
-//
-//	8-byte magic "pnresv1\n"
-//	repeated frames: [u32 payload length][u32 point index][payload]
-//
-// where payload is exactly sweep.PointResult.MarshalJSON's output — the
-// loss-free codec — so streamed retrieval is byte-identical to what the
-// in-memory path used to serve. Fsync discipline matches the WAL: the header
-// reaches stable storage at create, frames are plain appends (a crash loses
-// at most the frame in flight; every earlier point survives), and seal —
-// called when the job goes terminal — fsyncs the tail.
+// Each record is [u32 point index, big-endian][payload], where payload is
+// exactly sweep.PointResult.MarshalJSON's output — the loss-free codec — so
+// streamed retrieval is byte-identical to what the in-memory path used to
+// serve. Fsync discipline matches the WAL: the file reaches stable storage
+// at create, records are plain appends (a crash loses at most the record in
+// flight; every earlier point survives), and seal — called when the job goes
+// terminal — fsyncs the tail.
 //
 // Failure containment mirrors the journal too: a failed append (disk full,
 // injected fault) flips the file to degraded — the job keeps running and
 // settling normally, already-spilled frames stay readable, only the
 // not-yet-spilled payloads are lost to summary-only service. A failed create
-// degrades the whole job the same way. Results are an availability surface,
-// never a correctness dependency.
-
-// resultMagic heads every spill file; a file without it is not ours (or is a
-// torn create) and is re-created from scratch.
-const resultMagic = "pnresv1\n"
-
-// resultFrameOverhead is the per-frame header: payload length + point index.
-const resultFrameOverhead = 8
-
-// maxResultFrame bounds one frame's payload; larger lengths in a file mean
-// corruption (a torn or overwritten tail), not data.
-const maxResultFrame = 1 << 28 // 256 MiB
+// degrades the whole job the same way. A record that fails its checksum on
+// read is an error, never served. Results are an availability surface, never
+// a correctness dependency.
 
 // resultSubdir keeps spill files out of the journal replay walk.
 const resultSubdir = "results"
@@ -99,31 +86,40 @@ func (rs *resultStore) path(id string) string {
 }
 
 // open creates (or reopens, for journal recovery and resumed jobs) the spill
-// file for a job of n points, scanning any existing frames into the index
-// with torn tails truncated. Returns nil when the store is unavailable or
-// the file cannot be opened — the job then runs summary-only.
+// file for a job of n points, indexing any records already in it. A file
+// that is not a record file (a spill from before the checksummed format) is
+// quarantined and the spill starts empty: a running job rebuilds it, a
+// terminal one serves summaries only. Returns nil when the store is
+// unavailable or the file cannot be opened — the job then runs summary-only.
 func (rs *resultStore) open(id string, n int) *resultFile {
 	p := rs.path(id)
 	if p == "" || n <= 0 {
 		return nil
 	}
 	m := serveMetrics.Get()
-	f, err := os.OpenFile(p, os.O_RDWR|os.O_CREATE, 0o644)
+	rf := &resultFile{offsets: make([]int64, n), lengths: make([]int32, n)}
+	for i := range rf.offsets {
+		rf.offsets[i] = -1
+	}
+	f, cut, err := wal.Open(p, rf.index)
+	if errors.Is(err, wal.ErrCorrupt) {
+		m.replayCorrupt.Inc()
+		f, cut, err = wal.Open(p, rf.index)
+	}
+	if err == nil {
+		if err = f.Sync(); err != nil {
+			_ = f.Close()
+		}
+	}
 	if err != nil {
 		m.resultErrors.Inc()
 		m.resultDegraded.Inc()
 		return nil
 	}
-	rf := &resultFile{f: f, path: p, offsets: make([]int64, n), lengths: make([]int32, n)}
-	for i := range rf.offsets {
-		rf.offsets[i] = -1
+	if cut {
+		m.replayCorrupt.Inc()
 	}
-	if err := rf.scan(); err != nil {
-		m.resultErrors.Inc()
-		m.resultDegraded.Inc()
-		f.Close()
-		return nil
-	}
+	rf.f = f
 	return rf
 }
 
@@ -161,79 +157,25 @@ func (rs *resultStore) close() {
 // carries a nil file).
 type resultFile struct {
 	mu       sync.Mutex
-	f        *os.File
-	path     string
-	offsets  []int64 // payload byte offset per point index; -1 = not spilled
-	lengths  []int32 // payload byte length per point index
+	f        *wal.File
+	offsets  []int64 // record offset per point index; -1 = not spilled
+	lengths  []int32 // record length per point index (index prefix included)
 	n        int     // frames present
-	size     int64   // append position
 	degraded bool    // an append failed: summary-only from here on
 	sealed   bool
 }
 
-// scan validates the magic and indexes every complete frame, truncating the
-// file at the first torn or corrupt one — exactly the journal's replay
-// stance: keep every record that fully landed, drop the tail that did not.
-// An empty or magic-less file is (re)initialised with a fsync'd header.
-func (rf *resultFile) scan() error {
-	info, err := rf.f.Stat()
-	if err != nil {
-		return err
+// index records one existing record found by wal.Open. The first record per
+// point wins, as in append; an index outside the job is skipped.
+func (rf *resultFile) index(off int64, rec []byte) {
+	if len(rec) < 4 {
+		return
 	}
-	var hdr [len(resultMagic)]byte
-	if info.Size() >= int64(len(resultMagic)) {
-		if _, err := rf.f.ReadAt(hdr[:], 0); err != nil {
-			return err
-		}
+	idx := binary.BigEndian.Uint32(rec)
+	if idx < uint32(len(rf.offsets)) && rf.offsets[idx] < 0 {
+		rf.offsets[idx], rf.lengths[idx] = off, int32(len(rec))
+		rf.n++
 	}
-	if string(hdr[:]) != resultMagic {
-		// New file (or a torn create that never finished its header): start
-		// clean. The header is fsync'd before any frame can follow it, the
-		// same barrier the WAL puts before its 202.
-		if err := rf.f.Truncate(0); err != nil {
-			return err
-		}
-		if _, err := rf.f.WriteAt([]byte(resultMagic), 0); err != nil {
-			return err
-		}
-		if err := rf.f.Sync(); err != nil {
-			return err
-		}
-		rf.size = int64(len(resultMagic))
-		return nil
-	}
-	off := int64(len(resultMagic))
-	var fh [resultFrameOverhead]byte
-	for {
-		if off+resultFrameOverhead > info.Size() {
-			break // torn frame header (or clean EOF)
-		}
-		if _, err := rf.f.ReadAt(fh[:], off); err != nil {
-			break
-		}
-		plen := int64(binary.BigEndian.Uint32(fh[0:4]))
-		idx := int(binary.BigEndian.Uint32(fh[4:8]))
-		if plen <= 0 || plen > maxResultFrame || idx < 0 || idx >= len(rf.offsets) {
-			break // corrupt header: truncate from here
-		}
-		if off+resultFrameOverhead+plen > info.Size() {
-			break // torn payload
-		}
-		if rf.offsets[idx] < 0 {
-			rf.offsets[idx] = off + resultFrameOverhead
-			rf.lengths[idx] = int32(plen)
-			rf.n++
-		}
-		off += resultFrameOverhead + plen
-	}
-	if off < info.Size() {
-		if err := rf.f.Truncate(off); err != nil {
-			return err
-		}
-		serveMetrics.Get().replayCorrupt.Inc()
-	}
-	rf.size = off
-	return nil
 }
 
 // append spills one completed point. First writer per index wins — a resumed
@@ -258,26 +200,20 @@ func (rf *resultFile) append(idx int, raw []byte) error {
 		m.resultDegraded.Inc()
 		return err
 	}
-	frame := make([]byte, resultFrameOverhead+len(raw))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(raw)))
-	binary.BigEndian.PutUint32(frame[4:8], uint32(idx))
-	copy(frame[resultFrameOverhead:], raw)
-	if _, err := rf.f.WriteAt(frame, rf.size); err != nil {
-		// A partial frame may be on disk; rewind so a later reopen's scan
-		// does not have to. Failure to truncate is fine — scan would drop
-		// the torn tail anyway.
-		_ = rf.f.Truncate(rf.size)
+	var ib [4]byte
+	binary.BigEndian.PutUint32(ib[:], uint32(idx))
+	off, err := rf.f.Append(ib[:], raw)
+	if err != nil {
 		rf.degraded = true
 		m.resultErrors.Inc()
 		m.resultDegraded.Inc()
 		return err
 	}
-	rf.offsets[idx] = rf.size + resultFrameOverhead
-	rf.lengths[idx] = int32(len(raw))
-	rf.size += int64(len(frame))
+	rf.offsets[idx] = off
+	rf.lengths[idx] = int32(len(ib) + len(raw))
 	rf.n++
 	m.resultSpilled.Inc()
-	m.resultBytes.Add(int64(len(frame)))
+	m.resultBytes.Add(int64(wal.FrameHeader + len(ib) + len(raw)))
 	return nil
 }
 
@@ -341,12 +277,12 @@ func (rf *resultFile) frame(idx int) ([]byte, error) {
 		serveMetrics.Get().resultErrors.Inc()
 		return nil, err
 	}
-	buf := make([]byte, n)
-	if _, err := rf.f.ReadAt(buf, off); err != nil {
+	rec, err := rf.f.ReadAt(off, int(n))
+	if err != nil {
 		serveMetrics.Get().resultErrors.Inc()
 		return nil, fmt.Errorf("results: reading frame %d: %w", idx, err)
 	}
-	return buf, nil
+	return rec[4:], nil
 }
 
 // snapshot reports (frames spilled, total points, degraded).

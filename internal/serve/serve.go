@@ -1317,13 +1317,20 @@ func (s *Server) recoverJobs() {
 	// ModeDelay here widens the not-ready window deterministically; ModeError
 	// is meaningless for replay and ignored.
 	_ = faultinject.Fire(faultinject.ServeReplayDelay)
-	for _, rj := range s.journal.replay() {
-		if rj.terminal || !rj.wal {
+	jobs := s.journal.replay()
+	for i, rj := range jobs {
+		if rj.terminal {
 			s.restoreTerminal(rj, m)
 			continue
 		}
 		if !s.resumeJob(rj, m) {
-			return // draining: remaining .wal files recover on the next start
+			// Draining: the remaining .wal files recover on the next start.
+			for _, rest := range jobs[i+1:] {
+				if rest.f != nil {
+					_ = rest.f.Close()
+				}
+			}
+			return
 		}
 	}
 	s.mu.Lock()
@@ -1343,7 +1350,7 @@ func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
 	j.state = rj.state
 	j.rf = s.results.openExisting(j.id, len(j.specs))
 	j.rf.seal() // terminal: frozen read-only, late appends no-op
-	j.trace = reopenJobTrace(j.traceCtx.Trace, tracePath(s.cfg.JournalDir, j.id))
+	j.trace = newJobTrace(j.traceCtx.Trace, tracePath(s.cfg.JournalDir, j.id))
 	j.trace.close() // terminal: the timeline is read-only from here
 	if rj.err != nil {
 		j.err = rj.err
@@ -1353,12 +1360,8 @@ func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
 	j.events.close()
 	// A .wal holding a terminal event means the crash hit between the fsync
 	// and the rename; finish the rotation it was owed.
-	if rj.wal {
-		if jj := s.journal.reopen(j.id); jj != nil {
-			jj.mu.Lock()
-			jj.rotateLocked()
-			jj.mu.Unlock()
-		}
+	if rj.f != nil {
+		(&jobJournal{jl: s.journal, id: j.id, f: rj.f}).rotateLocked()
 	}
 	s.mu.Lock()
 	s.registerLocked(j)
@@ -1374,7 +1377,7 @@ func (s *Server) restoreTerminal(rj recoveredJob, m *serveInstruments) {
 // draining and the job could not be enqueued.
 func (s *Server) resumeJob(rj recoveredJob, m *serveInstruments) bool {
 	j := newJob(rj.hdr, s.root)
-	j.jl = s.journal.reopen(j.id)
+	j.jl = &jobJournal{jl: s.journal, id: j.id, f: rj.f}
 	// The re-run re-reports every point (pre-crash ones as cache hits); the
 	// reopened spill dedups by index, so frames that landed before the crash
 	// stay exactly as first written.
@@ -1383,7 +1386,7 @@ func (s *Server) resumeJob(rj recoveredJob, m *serveInstruments) bool {
 	// resume marker records the restart itself — in-flight span trees died
 	// unemitted with the old process, and this marker is what explains the
 	// gap when reading the merged timeline.
-	j.trace = reopenJobTrace(j.traceCtx.Trace, tracePath(s.cfg.JournalDir, j.id))
+	j.trace = newJobTrace(j.traceCtx.Trace, tracePath(s.cfg.JournalDir, j.id))
 	j.trace.Emit(obs.Event{Type: "resume", Name: "serve.job.resumed", StartNS: time.Now().UnixNano()})
 	j.events.restore(rj.events)
 	j.emit(Event{Type: "state", State: StateQueued}, false)

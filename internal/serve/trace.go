@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -9,16 +8,18 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
 // The job trace is the distributed-tracing sibling of the job journal: every
 // job owns a bounded buffer of completed span events — its own (the serve.job
 // root span and the whole sweep subtree under it) plus events ingested from
 // worker nodes via the coordinator's trace pull. With journalling on, each
-// event is also appended to <JournalDir>/traces/<jobID>.jsonl as it arrives
-// (plain unbuffered writes: a SIGKILL loses at most the line in flight), so a
-// restarted coordinator still serves the pre-crash timeline. The traces/
-// subdirectory keeps trace files out of the job-journal replay walk.
+// event is also appended to the record file <JournalDir>/traces/<jobID>.jsonl
+// as it arrives (one unsynced write per event: a SIGKILL loses at most the
+// record in flight), so a restarted coordinator still serves the pre-crash
+// timeline. The traces/ subdirectory keeps trace files out of the
+// job-journal replay walk.
 
 // traceSubdir is the journal subdirectory holding per-job trace files.
 const traceSubdir = "traces"
@@ -48,7 +49,7 @@ type jobTrace struct {
 	evs     []obs.Event
 	seen    map[string]struct{}
 	dropped int
-	f       *os.File // nil: memory-only (no journal dir)
+	f       *wal.File // nil: memory-only (no journal dir) or closed
 	cap     int
 }
 
@@ -71,47 +72,27 @@ func tracePath(journalDir, id string) string {
 	return jobFile(filepath.Join(journalDir, traceSubdir), id, ".jsonl")
 }
 
-// newJobTrace opens a fresh trace for a job. path == "" keeps it memory-only.
+// newJobTrace opens a job's trace; path == "" keeps it memory-only. An
+// existing trace file — a recovered job's — is reloaded first, so a
+// restarted coordinator keeps extending the same timeline.
 func newJobTrace(traceID, path string) *jobTrace {
 	t := &jobTrace{trace: traceID, seen: make(map[string]struct{}), cap: defaultTraceCap}
-	if path != "" {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err == nil {
-			if f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
-				t.f = f
-			}
-		}
-		if t.f == nil {
-			serveMetrics.Get().journalErrors.Inc()
-		}
-	}
-	return t
-}
-
-// reopenJobTrace restores a recovered job's timeline from its trace file and
-// reopens it for appending, so a restarted coordinator keeps extending the
-// same trace. Corrupt lines (the torn-final-line crash artifact) are skipped.
-func reopenJobTrace(traceID, path string) *jobTrace {
-	t := newJobTrace(traceID, path)
 	if path == "" {
 		return t
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return t
+	err := os.MkdirAll(filepath.Dir(path), 0o755)
+	if err == nil {
+		// t.f is still nil while reloading, so record buffers and dedups the
+		// old events without writing them again.
+		t.f, _, err = wal.Open(path, func(_ int64, rec []byte) {
+			var ev obs.Event
+			if json.Unmarshal(rec, &ev) == nil {
+				t.record(ev, false)
+			}
+		})
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var ev obs.Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			continue
-		}
-		t.restore(ev)
+	if err != nil {
+		serveMetrics.Get().journalErrors.Inc()
 	}
 	return t
 }
@@ -162,19 +143,6 @@ func (t *jobTrace) ingest(evs []obs.Event) {
 	}
 }
 
-// restore re-adds an event read back from the trace file: dedup and buffer
-// only, never re-written to disk.
-func (t *jobTrace) restore(ev obs.Event) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key := dedupKey(ev)
-	if _, dup := t.seen[key]; dup || len(t.evs) >= t.cap {
-		return
-	}
-	t.seen[key] = struct{}{}
-	t.evs = append(t.evs, ev)
-}
-
 // record dedups, buffers, counts, and appends to the trace file. Returns
 // whether the event was kept.
 func (t *jobTrace) record(ev obs.Event, local bool) bool {
@@ -193,23 +161,20 @@ func (t *jobTrace) record(ev obs.Event, local bool) bool {
 	}
 	t.seen[key] = struct{}{}
 	t.evs = append(t.evs, ev)
-	var f *os.File
-	if t.f != nil {
-		f = t.f
-	}
-	var line []byte
+	f := t.f
+	var rec []byte
 	if f != nil {
-		line, _ = json.Marshal(ev)
+		rec, _ = json.Marshal(ev)
 	}
 	t.mu.Unlock()
 	if local {
 		m.traceSpans.Inc()
 	}
-	if f != nil && line != nil {
-		// One unbuffered write per event: torn tails are tolerated on reload,
-		// and an fsync per span would tax the sweep path for little — the
-		// buffer is the primary copy while the process lives.
-		if _, err := f.Write(append(line, '\n')); err != nil {
+	if rec != nil {
+		// No fsync: a torn tail is cut on reload, and an fsync per span
+		// would tax the sweep path for little — the buffer is the primary
+		// copy while the process lives.
+		if _, err := f.Append(rec); err != nil {
 			m.journalErrors.Inc()
 		}
 	}
