@@ -28,7 +28,8 @@ race:
 # tails, bit flips, legacy conversion), the named-fault consumers in
 # cache/sweep/osc/serve (journal durability, readiness lifecycle, injected
 # I/O and model faults), and the SIGKILL crash-recovery e2e in cmd/pnserve.
-# CI runs the same commands (chaos job), plus a bounded FuzzOpen run.
+# CI runs the same commands (chaos job), plus bounded fuzz runs (FuzzOpen,
+# FuzzPointResultCodec, FuzzParseTraceparent, FuzzSubmitBody).
 chaos:
 	$(GO) test -race -timeout 10m ./internal/faultinject/ ./internal/wal/
 	$(GO) test -race -timeout 15m \

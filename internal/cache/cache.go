@@ -120,13 +120,16 @@ func New(o Options) (*Store, error) {
 // promoted to the memory tier. The returned slice must be treated as
 // read-only (it may be shared with other callers).
 func (s *Store) Get(key string) ([]byte, bool) {
-	v, origin := s.lookup(key, true)
+	v, origin := s.lookup(key)
+	if !origin.Cached() && s != nil && key != "" {
+		cacheMetrics.Get().misses.Inc()
+	}
 	return v, origin.Cached()
 }
 
-// lookup is Get plus origin reporting; record=false suppresses hit/miss
-// metrics (used by Do, which classifies the outcome itself).
-func (s *Store) lookup(key string, record bool) ([]byte, Origin) {
+// lookup is Get plus origin reporting. It counts hits; a miss is left to
+// the caller, because Claim counts one only when the caller leads.
+func (s *Store) lookup(key string) ([]byte, Origin) {
 	if s == nil || key == "" {
 		return nil, OriginComputed
 	}
@@ -136,23 +139,16 @@ func (s *Store) lookup(key string, record bool) ([]byte, Origin) {
 		s.lru.MoveToFront(el)
 		val := el.Value.(*entry).val
 		s.mu.Unlock()
-		if record {
-			m.hitsMem.Inc()
-		}
+		m.hitsMem.Inc()
 		return val, OriginMem
 	}
 	s.mu.Unlock()
 	if s.disk != nil {
 		if val, ok := s.disk.get(key); ok {
 			s.insertMem(key, val)
-			if record {
-				m.hitsDisk.Inc()
-			}
+			m.hitsDisk.Inc()
 			return val, OriginDisk
 		}
-	}
-	if record {
-		m.misses.Inc()
 	}
 	return nil, OriginComputed
 }
@@ -212,72 +208,120 @@ func (s *Store) insertMem(key string, val []byte) {
 	}
 }
 
-// Do returns the payload for key, computing it at most once across all
-// concurrent callers: a cached value is returned immediately; if an
-// identical computation is already in flight the caller waits for it and
-// shares its outcome (value or error — a shared error means the one
-// computation failed, and each waiter reports it verbatim); otherwise
-// compute runs, and a successful result is stored in both tiers.
-//
-// Failed computations are never cached: the next Do for the key computes
-// again. On a nil Store (or empty key), Do just runs compute.
-func (s *Store) Do(key string, compute func() ([]byte, error)) ([]byte, Origin, error) {
+// Claim is one caller's hold on a key, from Store.Claim. Origin says which
+// of three it is: a hit (OriginMem or OriginDisk; Val is the payload), a
+// join of an identical computation in flight (OriginShared; Wait for its
+// outcome), or a lead (OriginComputed), which must Publish exactly once or
+// every caller that joined waits forever.
+type Claim struct {
+	Val    []byte
+	Origin Origin
+	s      *Store
+	key    string
+	fl     *flight
+}
+
+// Claim resolves key for one caller with singleflight. A caller holding
+// several claims must Publish every claim it leads before it Waits on any
+// it joined — two callers that joined each other's keys would otherwise
+// wait for each other forever. On a nil Store (or empty key) every claim
+// leads and Publish stores nothing.
+func (s *Store) Claim(key string) Claim {
 	if s == nil || key == "" {
-		val, err := compute()
-		return val, OriginComputed, err
+		return Claim{Origin: OriginComputed}
 	}
+	if val, origin := s.lookup(key); origin.Cached() {
+		return Claim{Val: val, Origin: origin, s: s, key: key}
+	}
+	return s.fly(key, true)
+}
+
+// Reclaim gives up a hit or a join whose payload the caller cannot use (one
+// that does not decode) and claims the key again without consulting the
+// tiers: the caller leads a recomputation whose Publish overwrites the
+// entry, or joins one already in flight.
+func (c Claim) Reclaim() Claim { return c.s.fly(c.key, false) }
+
+// fly joins the key's flight or registers a new one the caller leads.
+// recheck looks at the memory tier under the lock first: a flight that
+// completed between the caller's lookup and the lock has already stored
+// its value.
+func (s *Store) fly(key string, recheck bool) Claim {
 	m := cacheMetrics.Get()
-	if val, origin := s.lookup(key, false); origin.Cached() {
-		switch origin {
-		case OriginMem:
-			m.hitsMem.Inc()
-		case OriginDisk:
-			m.hitsDisk.Inc()
-		}
-		return val, origin, nil
-	}
 	s.mu.Lock()
 	if fl, ok := s.sf[key]; ok {
 		s.mu.Unlock()
-		<-fl.done
-		m.shared.Inc()
-		if fl.err != nil {
-			return nil, OriginShared, fl.err
-		}
-		return fl.val, OriginShared, nil
+		return Claim{Origin: OriginShared, s: s, key: key, fl: fl}
 	}
-	// Re-check the memory tier under the lock: a flight that completed
-	// between lookup and Lock has already stored its value.
-	if el, ok := s.idx[key]; ok {
+	if el, ok := s.idx[key]; ok && recheck {
 		s.lru.MoveToFront(el)
 		val := el.Value.(*entry).val
 		s.mu.Unlock()
 		m.hitsMem.Inc()
-		return val, OriginMem, nil
+		return Claim{Val: val, Origin: OriginMem, s: s, key: key}
 	}
 	fl := &flight{done: make(chan struct{})}
 	s.sf[key] = fl
 	s.mu.Unlock()
-
 	m.misses.Inc()
 	m.inflight.Add(1)
-	val, err := compute()
+	return Claim{Origin: OriginComputed, s: s, key: key, fl: fl}
+}
+
+// Wait blocks until the flight a shared claim joined ends and returns its
+// outcome: the leader's payload, or its error verbatim (a shared error
+// means the one computation failed).
+func (c Claim) Wait() ([]byte, error) {
+	<-c.fl.done
+	cacheMetrics.Get().shared.Inc()
+	return c.fl.val, c.fl.err
+}
+
+// Publish ends a leading claim's flight with the computation's outcome: a
+// successful payload is stored in both tiers (overwriting what the key
+// held), an error is handed to every joined caller and never stored. It
+// returns err, or the store's rejection of the payload. Publishing a claim
+// that holds no flight (a nil Store) just returns err.
+func (c Claim) Publish(val []byte, err error) error {
+	if c.fl == nil {
+		return err
+	}
 	if err == nil {
-		err = s.Put(key, val)
+		err = c.s.Put(c.key, val)
 	}
-	fl.val, fl.err = val, err
 	if err != nil {
-		fl.val = nil
+		val = nil
 	}
-	s.mu.Lock()
-	delete(s.sf, key)
-	s.mu.Unlock()
-	m.inflight.Add(-1)
-	close(fl.done)
-	if err != nil {
-		return nil, OriginComputed, err
+	c.fl.val, c.fl.err = val, err
+	c.s.mu.Lock()
+	delete(c.s.sf, c.key)
+	c.s.mu.Unlock()
+	cacheMetrics.Get().inflight.Add(-1)
+	close(c.fl.done)
+	return err
+}
+
+// Do returns the payload for key, computing it at most once across all
+// concurrent callers through one Claim: a cached value is returned
+// immediately, a caller that joins an identical computation shares its
+// outcome (value or error), and otherwise compute runs and a successful
+// result is stored in both tiers. Failed computations are never cached: the
+// next Do for the key computes again. On a nil Store (or empty key), Do just
+// runs compute.
+func (s *Store) Do(key string, compute func() ([]byte, error)) ([]byte, Origin, error) {
+	c := s.Claim(key)
+	if c.Origin == OriginShared {
+		val, err := c.Wait()
+		return val, c.Origin, err
 	}
-	return val, OriginComputed, nil
+	if c.Origin.Cached() {
+		return c.Val, c.Origin, nil
+	}
+	val, err := compute()
+	if err = c.Publish(val, err); err != nil {
+		val = nil
+	}
+	return val, c.Origin, err
 }
 
 // Len returns the number of entries in the memory tier.

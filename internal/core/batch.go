@@ -93,12 +93,19 @@ func characteriseBatch(be dynsys.BatchEvaluator, points []BatchPoint, batchTok *
 	psses := make([]*shooting.PSS, K)
 	lanes := make([]shooting.BatchLane, K)
 	shoot, reused := 0, 0
+	start := time.Now()
+	defer func() {
+		wall := time.Since(start) // one reading: every lane's Wall is the batch wall
+		for k := range plans {
+			if tr := plans[k].tr; tr != nil {
+				tr.Wall = wall
+			}
+		}
+	}()
 	for k, pt := range points {
 		plans[k] = resolveStages(pt.Opts)
 		if tr := plans[k].tr; tr != nil {
 			*tr = Trace{}
-			start := time.Now()
-			defer func(tr *Trace) { tr.Wall = time.Since(start) }(tr)
 		}
 		if pt.Opts != nil && pt.Opts.ReusePSS != nil {
 			psses[k] = pt.Opts.ReusePSS

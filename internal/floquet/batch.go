@@ -51,6 +51,14 @@ func AnalyzeBatch(be dynsys.BatchEvaluator, items []BatchItem, batchTok *budget.
 	start := time.Now()
 	fm := floquetMetrics.Get()
 	effs := make([]Options, K)
+	defer func() {
+		wall := time.Since(start) // one reading: every lane's Wall is the batch wall
+		for k := range effs {
+			if tr := effs[k].Trace; tr != nil {
+				tr.Wall = wall
+			}
+		}
+	}()
 	preps := make([]*adjPrep, K)
 	laneErrs = make([]error, K)
 	decs = make([]*Decomposition, K)
@@ -68,7 +76,6 @@ func AnalyzeBatch(be dynsys.BatchEvaluator, items []BatchItem, batchTok *budget.
 			// the adjoint steps actually completed, so a trace from an early
 			// exit shows real work done, not intent.
 			*tr = Trace{}
-			defer func(tr *Trace) { tr.Wall = time.Since(start) }(tr) // per-lane Wall = batch wall
 		}
 		if laneErrs[k] != nil {
 			continue

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,6 +114,11 @@ func (sc SpanContext) Traceparent() string {
 func ParseTraceparent(s string) (SpanContext, bool) {
 	// 2 (version) + 1 + 32 (trace) + 1 + 16 (span) + 1 + 2 (flags)
 	if len(s) != 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
+		return SpanContext{}, false
+	}
+	// Trace context IDs are lowercase hex only: accepting uppercase would let
+	// one trace arrive under two spellings of its ID.
+	if strings.ToLower(s[3:52]) != s[3:52] {
 		return SpanContext{}, false
 	}
 	trace := s[3:35]

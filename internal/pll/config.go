@@ -246,9 +246,7 @@ func (g *Grid) points() ([]float64, error) {
 // grid, band, realization — without touching the legs, whose numeric
 // validation happens as Compose resolves them. The serving layer calls this
 // at submission time, before spec legs have numbers.
-func (c *Config) Validate() error { return c.validate() }
-
-func (c *Config) validate() error {
+func (c *Config) Validate() error {
 	if len(c.Stages) == 0 {
 		return fmt.Errorf("pll: config needs at least one stage")
 	}

@@ -137,7 +137,7 @@ func compose(cfg *Config, m *pllInstruments) (*Result, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("pll: nil config")
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := faultinject.Fire(faultinject.PllCompose); err != nil {

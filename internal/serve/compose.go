@@ -84,25 +84,11 @@ func summarizeCompose(r *pll.Result) ComposeSummary {
 	return s
 }
 
-// Validate shape-checks the request exactly as submission does; CLI front
-// ends call it before doing any characterisation work.
-func (req *ComposeRequest) Validate() error { return req.validate() }
-
-// SpecLegs returns the legs that need characterisation, in the order
-// BuildConfig consumes results — the pnpll CLI runs them through the local
-// sweep engine where the server would run them through its job queue.
-func (req *ComposeRequest) SpecLegs() []PointSpec { return req.specLegs() }
-
-// BuildConfig resolves the request into a runnable pll.Config from
-// characterisation results in SpecLegs order.
-func (req *ComposeRequest) BuildConfig(results []sweep.PointResult) (*pll.Config, error) {
-	return req.buildConfig(results)
-}
-
-// specLegs collects the legs that need a server-side characterisation, in
+// SpecLegs collects the legs that need a characterisation, in
 // deterministic order (per stage: ref, then vco) — the same order
-// buildConfig consumes results in.
-func (req *ComposeRequest) specLegs() []PointSpec {
+// BuildConfig consumes results in. The server runs them through its job
+// queue; the pnpll CLI runs them through the local sweep engine.
+func (req *ComposeRequest) SpecLegs() []PointSpec {
 	var specs []PointSpec
 	for i := range req.Stages {
 		st := &req.Stages[i]
@@ -116,12 +102,13 @@ func (req *ComposeRequest) specLegs() []PointSpec {
 	return specs
 }
 
-// validate rejects structurally bad requests at submission time, before the
-// job queues: leg exclusivity here, loop/grid/realization shape via the
+// Validate rejects structurally bad requests at submission time, before the
+// job queues (CLI front ends call it before doing any characterisation
+// work): leg exclusivity here, loop/grid/realization shape via the
 // composition engine's own validator (spec legs are checked as point specs
 // by submit). Numeric leg validation (c > 0, source names) happens at
 // compose time, after characterisation fills the legs in.
-func (req *ComposeRequest) validate() error {
+func (req *ComposeRequest) Validate() error {
 	if len(req.Stages) == 0 {
 		return fmt.Errorf("compose needs at least one stage")
 	}
@@ -152,7 +139,7 @@ func (req *ComposeRequest) validate() error {
 
 // buildShape assembles the pll.Config skeleton: stages, loop knobs, grid,
 // band, realization. Spec legs keep their zero numeric fields — Validate
-// does not inspect legs, and buildConfig fills them from results.
+// does not inspect legs, and BuildConfig fills them from results.
 func (req *ComposeRequest) buildShape() *pll.Config {
 	cfg := &pll.Config{
 		Grid:         req.Grid,
@@ -213,9 +200,9 @@ func perSource(res *core.Result) []pll.SourceC {
 	return out
 }
 
-// buildConfig resolves the request into a runnable pll.Config, consuming
-// the characterisation results in the same order specLegs emitted them.
-func (req *ComposeRequest) buildConfig(results []sweep.PointResult) (*pll.Config, error) {
+// BuildConfig resolves the request into a runnable pll.Config, consuming
+// the characterisation results in the same order SpecLegs emitted them.
+func (req *ComposeRequest) BuildConfig(results []sweep.PointResult) (*pll.Config, error) {
 	cfg := req.buildShape()
 	next := 0
 	take := func() (*sweep.PointResult, error) {
@@ -266,12 +253,12 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if err := req.validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		serveMetrics.Get().rejected.With("bad_request").Inc()
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	specs := req.specLegs()
+	specs := req.SpecLegs()
 	// Legs characterise in parallel like a sweep's points, one worker per
 	// leg up to the server cap.
 	workers := len(specs)
@@ -299,7 +286,7 @@ func (s *Server) composeJob(j *job, jtok *budget.Token, span *obs.Span) (string,
 	j.mu.Lock()
 	results := j.legs
 	j.mu.Unlock()
-	cfg, err := j.compose.buildConfig(results)
+	cfg, err := j.compose.BuildConfig(results)
 	if err != nil {
 		return classify(err), err
 	}

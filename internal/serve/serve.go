@@ -220,7 +220,7 @@ func newJob(hdr jrecord, parent *budget.Token) *job {
 		summaries:    make([]PointSummary, len(hdr.Specs)),
 	}
 	if hdr.Compose != nil {
-		// Compose legs feed buildConfig positionally; keep them index-ordered
+		// Compose legs feed BuildConfig positionally; keep them index-ordered
 		// whatever order they complete in.
 		j.legs = make([]sweep.PointResult, len(hdr.Specs))
 	}
@@ -1271,10 +1271,11 @@ func (s *Server) finishJob(j *job) {
 	// resubmits must never bounce off its own finishing job's slot.
 	s.tenants.release(j.tenant)
 
+	wall := time.Since(ex.start)
 	j.mu.Lock()
 	j.state = state
 	j.err = jobErr
-	j.wall = time.Since(ex.start)
+	j.wall = wall
 	// The terminal event carries the job-level error and is fsync'd + rotated
 	// (.wal → .jsonl) before subscribers see the stream close: a crash after
 	// this line replays as a finished job, never as a re-run. j.mu is held
@@ -1288,7 +1289,7 @@ func (s *Server) finishJob(j *job) {
 
 	m.inflight.Add(-1)
 	m.jobs.With(state).Inc()
-	m.jobSeconds.Observe(time.Since(ex.start).Seconds())
+	m.jobSeconds.Observe(wall.Seconds())
 	ex.span.SetAttr("state", state)
 	ex.span.EndErr(jobErr)
 	// The timeline stays queryable from memory; the file handle is released

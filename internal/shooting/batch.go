@@ -94,6 +94,12 @@ func FindBatch(be dynsys.BatchEvaluator, lanes []BatchLane, batchTok *budget.Tok
 	defer func() {
 		sm.newtonIters.Add(int64(itersSum))
 		sm.dampings.Add(int64(dampSum))
+		wall := time.Since(start) // one reading: every shot lane's Wall is the batch wall
+		for k, lane := range lanes {
+			if tr := effs[k].Trace; tr != nil && lane.Sys != nil {
+				tr.Wall = wall
+			}
+		}
 	}()
 
 	laneToks := make([]*budget.Token, K)
@@ -109,7 +115,6 @@ func FindBatch(be dynsys.BatchEvaluator, lanes []BatchLane, batchTok *budget.Tok
 		laneToks[k] = effs[k].Budget
 		if tr := effs[k].Trace; tr != nil {
 			*tr = Trace{}
-			defer func(tr *Trace) { tr.Wall = time.Since(start) }(tr) // per-lane Wall = batch wall
 		}
 		switch {
 		case lane.Sys.Dim() != n:

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -81,6 +83,45 @@ func TestCacheSecondBatchIsACacheSweep(t *testing.T) {
 }
 
 func TestCacheIdenticalPointsCollapseToOneRun(t *testing.T) {
+	for _, lanes := range []int{0, 8} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			obs.SetGlobal(reg)
+			defer obs.SetGlobal(nil)
+
+			store, err := cache.New(cache.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 6
+			pts := make([]Point, n)
+			for i := range pts {
+				pts[i] = keyedHopfPoint("dup", 2) // all identical ⇒ one key
+			}
+			results := Run(pts, &Config{Workers: n, Cache: store, BatchLanes: lanes})
+			computed := 0
+			for i, r := range results {
+				if !r.OK() {
+					t.Fatalf("point %d: %v", i, r.Err)
+				}
+				if !r.Cached {
+					computed++
+				}
+			}
+			if computed != 1 {
+				t.Fatalf("%d points computed, want exactly 1 (singleflight)", computed)
+			}
+			if got := reg.Snapshot().Counter("pn_core_characterisations_total", "ok"); got != 1 {
+				t.Fatalf("characterisations = %d, want 1", got)
+			}
+		})
+	}
+}
+
+// Two lockstep units over the keys A,B,A,B run side by side and join each
+// other's keys: each unit must publish the keys it leads before it waits on
+// the ones it joined, and the sweep runs each key once.
+func TestCacheCrossJoinedUnitsRunEachKeyOnce(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.SetGlobal(reg)
 	defer obs.SetGlobal(nil)
@@ -89,26 +130,48 @@ func TestCacheIdenticalPointsCollapseToOneRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 6
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = keyedHopfPoint("dup", 2) // all identical ⇒ one key
-	}
-	results := Run(pts, &Config{Workers: n, Cache: store})
-	computed := 0
+	pts := []Point{keyedHopfPoint("a", 2), keyedHopfPoint("b", 3), keyedHopfPoint("a", 2), keyedHopfPoint("b", 3)}
+	results := Run(pts, &Config{Workers: 2, BatchLanes: 2, Cache: store})
 	for i, r := range results {
 		if !r.OK() {
 			t.Fatalf("point %d: %v", i, r.Err)
 		}
-		if !r.Cached {
-			computed++
-		}
 	}
-	if computed != 1 {
-		t.Fatalf("%d points computed, want exactly 1 (singleflight)", computed)
+	if results[0].Result.C != results[2].Result.C || results[1].Result.C != results[3].Result.C {
+		t.Fatal("identical keys resolved to different results")
 	}
-	if got := reg.Snapshot().Counter("pn_core_characterisations_total", "ok"); got != 1 {
-		t.Fatalf("characterisations = %d, want 1", got)
+	if got := reg.Snapshot().Counter("pn_core_characterisations_total", "ok"); got != 2 {
+		t.Fatalf("characterisations = %d, want 2 (one per key)", got)
+	}
+}
+
+// A stored payload that does not decode is recomputed and overwritten, on
+// the one-lane and the lockstep path alike.
+func TestCacheUndecodablePayloadRecomputedAndOverwritten(t *testing.T) {
+	for _, lanes := range []int{0, 2} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			store, err := cache.New(cache.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts := []Point{keyedHopfPoint("a", 2), keyedHopfPoint("b", 3)}
+			for _, p := range pts {
+				if err := store.Put(p.Key, []byte(`"not a core.Result"`)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			results := Run(pts, &Config{Workers: 1, BatchLanes: lanes, Cache: store})
+			for i, r := range results {
+				if !r.OK() || r.Cached || len(r.Attempts) == 0 {
+					t.Fatalf("point %d: ok=%v cached=%v attempts=%d err=%v", i, r.OK(), r.Cached, len(r.Attempts), r.Err)
+				}
+				payload, hit := store.Get(pts[i].Key)
+				var cr core.Result
+				if !hit || json.Unmarshal(payload, &cr) != nil || cr.C != r.Result.C {
+					t.Fatalf("point %d: entry not overwritten with the recomputed result: %s", i, payload)
+				}
+			}
+		})
 	}
 }
 

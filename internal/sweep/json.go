@@ -50,10 +50,7 @@ func (e *RemoteError) Is(target error) bool {
 // the message plus the kind tag that keeps errors.Is classification working
 // after a round trip. The service layer uses it to report job and point
 // errors over the API with their budget/panic identity intact.
-func EncodeError(err error) *RemoteError { return encodeErr(err) }
-
-// encodeErr converts an error to its wire form (nil stays nil).
-func encodeErr(err error) *RemoteError {
+func EncodeError(err error) *RemoteError {
 	if err == nil {
 		return nil
 	}
@@ -92,7 +89,7 @@ func (a Attempt) MarshalJSON() ([]byte, error) {
 	return json.Marshal(attemptJSON{
 		Rung:     a.Rung,
 		RungName: a.RungName,
-		Error:    encodeErr(a.Err),
+		Error:    EncodeError(a.Err),
 		Trace:    a.Trace,
 		Wall:     a.Wall,
 		Flight:   a.Flight,
@@ -140,7 +137,7 @@ func (r PointResult) MarshalJSON() ([]byte, error) {
 		Index:    r.Index,
 		Name:     r.Name,
 		Result:   r.Result,
-		Error:    encodeErr(r.Err),
+		Error:    EncodeError(r.Err),
 		Attempts: r.Attempts,
 		Wall:     r.Wall,
 		Cached:   r.Cached,

@@ -153,7 +153,11 @@ type PointResult struct {
 	// point did learn.
 	PSS      *shooting.PSS
 	Attempts []Attempt
-	Wall     time.Duration // total wall-clock time across all attempts
+	// Wall runs from the start of the point's unit until the point settles:
+	// a hit's lookup, a joiner's wait, or a leader's base attempt plus its
+	// own continuation (in a lockstep group, plus the continuations of the
+	// lanes before it). Zero for a point skipped before it started.
+	Wall time.Duration
 	// Cached reports that the result was served from the content-addressed
 	// store (or by joining an identical in-flight computation) without
 	// running the pipeline; Attempts is empty in that case.
@@ -232,8 +236,7 @@ type Config struct {
 	// ladder from the next rung, and a batch-level infrastructure failure
 	// (injected fault, model panic inside the lockstep kernels) falls every
 	// lane back to the fully isolated one-lane path from the base rung.
-	// Cached points are served by a cache pre-check before the batch is
-	// built; fresh successes are committed back to the store.
+	// Batched lanes claim their keys in Cache exactly as lone points do.
 	BatchLanes int
 	// Span, when non-nil, parents the batch's root span so the whole sweep
 	// subtree lands in the caller's trace (e.g. a serve job's span). When nil
@@ -410,13 +413,13 @@ func Run(points []Point, cfg *Config) []PointResult {
 		go func() {
 			defer wg.Done()
 			for idxs := range next {
-				if len(idxs) == 1 {
-					k := idxs[0]
-					out[k] = runPoint(k, points[k], &c, attempt, rsp)
-					finalize(k)
+				// A unit dequeued after the budget tripped never starts; it is
+				// skipped like the units the feeder never sent.
+				if err := c.Budget.Err(); err != nil {
+					markSkipped(points, out, [][]int{idxs}, err, done)
 					continue
 				}
-				runBatchUnit(idxs, points, &c, out, attempt, finalize, rsp)
+				runUnit(idxs, points, &c, out, attempt, finalize, rsp)
 			}
 		}()
 	}
@@ -466,68 +469,126 @@ func markSkipped(points []Point, out []PointResult, units [][]int, cause error, 
 	}
 }
 
-// runPoint resolves one point: through the content-addressed cache when the
-// point is keyed (hit, or singleflight-joined computation), otherwise by
-// walking the retry ladder directly.
-func runPoint(index int, p Point, c *Config, attempt func(int, string, Attempt), rsp *obs.Span) PointResult {
+// runUnit runs one worker unit, a lone point or a lockstep group; every
+// point of a sweep goes through it. Each point claims its key in
+// Config.Cache: a hit is served, a computation already in flight is joined,
+// and otherwise the point leads. The leaders run the base rung as one
+// K-lane attempt, then each climbs its own retry ladder and publishes its
+// key. Joined keys are waited on only after every key the unit leads is
+// published, so two units that joined each other's keys cannot deadlock. A
+// batch-level failure (injected fault, panic inside the lockstep kernels)
+// re-runs each leader alone from the base rung, under the claim it already
+// holds. A payload that does not decode is recomputed and overwritten.
+func runUnit(idxs []int, points []Point, c *Config, out []PointResult, attempt func(int, string, Attempt), finalize func(int), rsp *obs.Span) {
 	start := time.Now()
-	res := PointResult{Index: index, Name: p.Name}
-	if err := c.Budget.Err(); err != nil {
-		res.Err = fmt.Errorf("sweep: point %q not started: %w", p.Name, err)
-		return res
-	}
-	psp := obs.StartSpan(rsp, "sweep.point")
-	psp.SetAttr("index", index)
-	psp.SetAttr("name", p.Name)
-	defer func() {
-		psp.SetAttr("attempts", len(res.Attempts))
-		psp.SetAttr("cached", res.Cached)
-		psp.EndErr(res.Err)
-	}()
-
-	if c.Cache != nil && p.Key != "" {
-		res = runPointCached(index, p, c, attempt, psp)
+	lone := len(idxs) == 1
+	var usp *obs.Span
+	if lone {
+		usp = obs.StartSpan(rsp, "sweep.point")
+		usp.SetAttr("index", idxs[0])
+		usp.SetAttr("name", points[idxs[0]].Name)
 	} else {
-		res = runLadder(index, p, c, attempt, psp, pointBudget(c), nil)
+		usp = obs.StartSpan(rsp, "sweep.batch")
+		usp.SetAttr("lanes", len(idxs))
+		defer usp.End()
 	}
-	res.Wall = time.Since(start)
-	return res
-}
-
-// runPointCached funnels the point through Config.Cache: one caller per key
-// runs the ladder and stores a successful result; everyone else is served
-// from the store or by joining that computation.
-func runPointCached(index int, p Point, c *Config, attempt func(int, string, Attempt), psp *obs.Span) PointResult {
-	var computed *PointResult
-	payload, origin, err := c.Cache.Do(p.Key, func() ([]byte, error) {
-		r := runLadder(index, p, c, attempt, psp, pointBudget(c), nil)
-		computed = &r
-		if !r.OK() {
-			return nil, r.Err
+	// settle is the one writer of a point's result and of its Wall.
+	settle := func(k int, res PointResult) {
+		res.Index, res.Name, res.Wall = k, points[k].Name, time.Since(start)
+		out[k] = res
+		if lone {
+			usp.SetAttr("attempts", len(res.Attempts))
+			usp.SetAttr("cached", res.Cached)
+			usp.EndErr(res.Err)
 		}
-		return json.Marshal(r.Result)
-	})
-	if computed != nil {
-		// This caller ran the pipeline; its PointResult has the full attempt
-		// history (and possibly a degraded partial PSS).
-		return *computed
+		finalize(k)
 	}
-	res := PointResult{Index: index, Name: p.Name, Cached: true}
-	if err != nil {
-		// Joined an identical in-flight computation that failed.
-		res.Err = fmt.Errorf("sweep: point %q shared a failed identical computation: %w", p.Name, err)
-		return res
+	// serve settles k from a payload it did not compute; false means the
+	// payload does not decode.
+	serve := func(k int, payload []byte) bool {
+		var cr core.Result
+		if json.Unmarshal(payload, &cr) != nil {
+			return false
+		}
+		settle(k, PointResult{Result: &cr, PSS: cr.PSS, Cached: true})
+		return true
 	}
-	var cr core.Result
-	if jerr := json.Unmarshal(payload, &cr); jerr != nil {
-		// A stale or foreign payload under our key: fall back to computing
-		// rather than failing the point on a cache artefact.
-		return runLadder(index, p, c, attempt, psp, pointBudget(c), nil)
+	// publish hands a leader's outcome to its claim — encoding it only when
+	// there is a store to keep it — and settles the point.
+	publish := func(k int, cl cache.Claim, res PointResult) {
+		if c.Cache != nil && points[k].Key != "" {
+			var payload []byte
+			err := res.Err
+			if res.OK() {
+				payload, err = json.Marshal(res.Result)
+			}
+			// Publish reports the store rejecting the payload; the point keeps
+			// its own result either way.
+			_ = cl.Publish(payload, err)
+		}
+		settle(k, res)
 	}
-	_ = origin // mem/disk/shared all count as cached for the result record
-	res.Result = &cr
-	res.PSS = cr.PSS
-	return res
+
+	claims := make([]cache.Claim, len(idxs))
+	rung0 := c.Ladder[0]
+	lanes := make([]attemptLane, 0, len(idxs))
+	for i, k := range idxs {
+		cl := c.Cache.Claim(points[k].Key)
+		if cl.Origin == cache.OriginMem || cl.Origin == cache.OriginDisk {
+			if serve(k, cl.Val) {
+				continue
+			}
+			cl = cl.Reclaim()
+		}
+		claims[i] = cl
+		if cl.Origin == cache.OriginComputed {
+			lanes = append(lanes, attemptLane{p: points[k], opts: applyRung(points[k].Opts, rung0), ptTok: pointBudget(c), i: i})
+		}
+	}
+
+	var outs []attemptOutcome
+	ok := len(lanes) > 0
+	if len(lanes) > 1 {
+		// The batch-level fault point: an injected failure here exercises the
+		// batch→isolated fallback exactly like a real batch infrastructure fault.
+		ok = faultinject.Fire(faultinject.SweepBatch) == nil
+	}
+	if ok {
+		outs, ok = runAttempt(lanes, 0, rung0, c, usp)
+	}
+	if len(lanes) > 1 {
+		m := sweepMetrics.Get()
+		if ok {
+			m.batches.With("ok").Inc()
+		} else {
+			m.batches.With("fallback").Inc()
+			usp.SetAttr("fallback", true)
+		}
+	}
+	for j, ln := range lanes {
+		k := idxs[ln.i]
+		if ok {
+			publish(k, claims[ln.i], runLadder(k, ln.p, c, attempt, usp, ln.ptTok, &outs[j]))
+		} else {
+			publish(k, claims[ln.i], runLadder(k, ln.p, c, attempt, usp, pointBudget(c), nil))
+		}
+	}
+
+	for i, k := range idxs {
+		for cl := claims[i]; cl.Origin == cache.OriginShared; {
+			payload, err := cl.Wait()
+			if err != nil {
+				settle(k, PointResult{Cached: true, Err: fmt.Errorf("sweep: point %q shared a failed identical computation: %w", points[k].Name, err)})
+				break
+			}
+			if serve(k, payload) {
+				break
+			}
+			if cl = cl.Reclaim(); cl.Origin == cache.OriginComputed {
+				publish(k, cl, runLadder(k, points[k], c, attempt, usp, pointBudget(c), nil))
+			}
+		}
+	}
 }
 
 // pointBudget starts one point's budget: the batch budget, bounded by
@@ -564,7 +625,6 @@ func reusablePSS(prev, next *core.Options, pss *shooting.PSS) bool {
 // already run in a lockstep group; the ladder then continues from rung 1,
 // reusing that attempt's converged PSS when it can.
 func runLadder(index int, p Point, c *Config, attempt func(int, string, Attempt), psp *obs.Span, ptTok *budget.Token, first *attemptOutcome) PointResult {
-	start := time.Now()
 	m := sweepMetrics.Get()
 	res := PointResult{Index: index, Name: p.Name}
 	var prevOpts *core.Options
@@ -600,7 +660,6 @@ func runLadder(index int, p Point, c *Config, attempt func(int, string, Attempt)
 		}
 		prevOpts, prevPSS = opts, o.pss
 	}
-	res.Wall = time.Since(start)
 	return res
 }
 
@@ -612,6 +671,7 @@ type attemptLane struct {
 	p     Point
 	opts  *core.Options
 	ptTok *budget.Token
+	i     int // position in runUnit's unit; unused by runAttempt
 }
 
 // attemptOutcome is what one lane of an attempt hands back to its caller.
